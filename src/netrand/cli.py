@@ -2,23 +2,28 @@
 
 Every command is a pure function of its flags and input files: identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 I/O or
-input-data failure, 2 usage error.
+input-data failure or a failed self-check (``oracle``), 2 usage error.
+
+Each CSV schema is one column list; a row's cell for a column is the record's
+attribute named by the lower-cased column (``I`` -> ``i``, ``W`` -> ``w``).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EdgeListParseError, ParameterError, SizeLimitError
 from . import graph as graphmod
-from .graph import ErParams, Graph
+from .graph import ErParams
 from .design import ADAPTIVE, RANDOM, DesignConfig, run_design, run_design_many
-from .montecarlo import ExperimentSpec, MomentSummary, ResultRow, run_experiment
+from .montecarlo import ExperimentSpec, relative_reduction, run_experiment
 from .outcome import OutcomeParams
 from . import oracle as oraclemod
 
@@ -37,6 +42,9 @@ REAL_SUMMARY_COLUMNS = [
 ]
 ASSIGN_COLUMNS = ["index", "node_id", "treatment", "I"]
 
+RealSummaryRow = namedtuple("RealSummaryRow", [c.lower() for c in REAL_SUMMARY_COLUMNS])
+AssignRow = namedtuple("AssignRow", [c.lower() for c in ASSIGN_COLUMNS])
+
 
 def _fmt(value) -> str:
     """Numeric cell formatting: full-precision repr so integers stay exact."""
@@ -47,12 +55,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(path, columns, records) -> None:
+    """Header plus one row per record, to ``path`` or to stdout when it is empty."""
+    attrs = [c.lower() for c in columns]
+    if path:
+        sink = open(path, "w", newline="", encoding="utf-8")
+    else:
+        sink = contextlib.nullcontext(sys.stdout)
+    with sink as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for rec in records:
+            writer.writerow([_fmt(getattr(rec, a)) for a in attrs])
 
 
 def _summary_path(out: str) -> str:
@@ -60,20 +74,6 @@ def _summary_path(out: str) -> str:
     if p.suffix == ".csv":
         return str(p.with_suffix("")) + ".summary.csv"
     return out + ".summary.csv"
-
-
-def _result_cells(r: ResultRow) -> list:
-    return [
-        r.model, r.n, r.policy, r.b, r.p, r.p_in, r.p_out, r.sigma2,
-        r.replicate, r.i, r.i2, r.i4, r.two_i_over_n, r.w, r.seed, r.density,
-    ]
-
-
-def _summary_cells(s: MomentSummary) -> list:
-    return [
-        s.model, s.n, s.policy, s.mean_two_i_over_n, s.ci_lo, s.ci_hi,
-        s.iqr_lo, s.iqr_hi, s.reps, s.mean_i, s.mean_i2, s.mean_i4, s.w_mean, s.w_sd,
-    ]
 
 
 def _parse_n_values(entries) -> tuple[int, ...]:
@@ -119,12 +119,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     result = run_experiment(spec)
-    _write_csv(args.out, RESULT_COLUMNS, (_result_cells(r) for r in result.rows))
-    _write_csv(
-        args.summary_out or _summary_path(args.out),
-        SUMMARY_COLUMNS,
-        (_summary_cells(s) for s in result.summaries),
-    )
+    _write_csv(args.out, RESULT_COLUMNS, result.rows)
+    _write_csv(args.summary_out or _summary_path(args.out), SUMMARY_COLUMNS, result.summaries)
     return 0
 
 
@@ -145,20 +141,16 @@ def cmd_real(args) -> int:
         sample_source=parent,
     )
     result = run_experiment(spec)
-    rows = [
-        [r.n, r.replicate, r.policy, r.b, r.density, r.i, r.i2, r.two_i_over_n, r.seed]
-        for r in result.rows
-    ]
+    mean_i = {(s.n, s.policy): s.mean_i for s in result.summaries}
     summary_rows = []
     for k in sizes:
-        cell = [r for r in result.rows if r.n == k]
-        a_mean = float(np.mean([r.i for r in cell if r.policy == ADAPTIVE]))
-        r_mean = float(np.mean([r.i for r in cell if r.policy == RANDOM]))
-        zero = r_mean == 0.0
-        reduction = 0.0 if zero else 1.0 - a_mean / r_mean
-        mean_density = float(np.mean([r.density for r in cell]))
-        summary_rows.append([k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density])
-    _write_csv(args.out, REAL_COLUMNS, rows)
+        a_mean, r_mean = mean_i[k, ADAPTIVE], mean_i[k, RANDOM]
+        reduction, zero = relative_reduction(a_mean, r_mean)
+        mean_density = float(np.mean([r.density for r in result.rows if r.n == k]))
+        summary_rows.append(RealSummaryRow(
+            k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density
+        ))
+    _write_csv(args.out, REAL_COLUMNS, result.rows)
     _write_csv(args.summary_out or _summary_path(args.out), REAL_SUMMARY_COLUMNS, summary_rows)
     return 0
 
@@ -167,31 +159,28 @@ def cmd_assign(args) -> int:
     g = graphmod.from_edge_list(args.edges)
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
     if args.order == "random":
-        perm = np.random.default_rng(order_ss).permutation(g.n)
-        labels = tuple((g.labels or tuple(map(str, range(g.n))))[i] for i in perm.tolist())
-        g = Graph(np.ascontiguousarray(g.matrix[np.ix_(perm, perm)]), g.kind, labels=labels)
+        g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
     res = run_design(g, DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss))
-    labels = g.labels or tuple(map(str, range(g.n)))
     i_by_pair = res.i_trajectory
-    rows = []
-    for idx in range(g.n):
-        pair = idx // 2
-        running_i = float(i_by_pair[min(pair, len(i_by_pair) - 1)])
-        treatment = 0 if res.tau[idx] > 0 else 1
-        rows.append([idx, labels[idx], treatment, running_i])
-    if args.out:
-        _write_csv(args.out, ASSIGN_COLUMNS, rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(ASSIGN_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    last_pair = len(i_by_pair) - 1
+    rows = (
+        AssignRow(
+            idx,
+            g.labels[idx],
+            0 if res.tau[idx] > 0 else 1,
+            float(i_by_pair[min(idx // 2, last_pair)]),
+        )
+        for idx in range(g.n)
+    )
+    _write_csv(args.out, ASSIGN_COLUMNS, rows)
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.n % 2 or args.n < 2 or args.n > 20:
         raise ParameterError("oracle needs even n with 2 <= n <= 20")
+    if args.mc_reps < 2:
+        raise ParameterError("oracle needs --mc-reps of at least 2 for a standard error")
     g = graphmod.gen_er(ErParams(args.n, args.p), args.seed)
     cfg = DesignConfig(policy=ADAPTIVE, b=args.b)
     brute = oraclemod.brute_force_min(g)
@@ -217,7 +206,7 @@ def cmd_oracle(args) -> int:
               f"(|diff|={abs(mc_mean - exact.expected_i2)!r}, 3se={3.0 * mc_se!r})")
         ok &= within
     print(f"overall: {'PASS' if ok else 'FAIL'}")
-    return 0
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,6 @@ from .graph import Graph, RevealedView
 ADAPTIVE = "adaptive"
 RANDOM = "random"
 
-_RECOMPUTE_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class DesignConfig:
@@ -96,12 +94,11 @@ class PairIncrement:
 
 def assign_first_pair(view: RevealedView, rng) -> DesignState:
     """Assign opposite treatments to the first two subjects by a fair coin."""
-    if view.revealed < 2:
-        raise ContractError("first pair needs a revealed 2x2 prefix")
+    rows = view.pair_rows(0)
     g = view.graph
     n2 = g.n - (g.n % 2)
-    d = float(view.entry(0, 0))
-    a = float(view.entry(0, 1))
+    d = float(rows[0, 0])
+    a = float(rows[0, 1])
     tau0 = 1.0 if rng.random() < 0.5 else -1.0
     s_buf = np.zeros(n2, dtype=np.float64)
     tau_buf = np.zeros(n2, dtype=np.float64)
@@ -117,15 +114,16 @@ def assign_first_pair(view: RevealedView, rng) -> DesignState:
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
     """Build the increment for the next pair from the revealed prefix."""
     length = 2 * state.pairs
-    block = view.pair_block(length).astype(np.float64)
+    rows = view.pair_rows(length)
+    block = rows[:, :length].astype(np.float64)
     z = block @ state.tau
     y = block[1] - block[0]
     return PairIncrement(
         y=y,
         z1=float(z[0]),
         z2=float(z[1]),
-        corner=float(view.entry(length, length + 1)),
-        diag=float(view.entry(length, length)),
+        corner=float(rows[0, length + 1]),
+        diag=float(rows[0, length]),
     )
 
 
@@ -262,7 +260,7 @@ def imbalance_recompute(g: Graph, tau, upto: int | None = None):
     """Squared imbalance of a sign prefix by direct dense multiplication.
 
     Reference checker for the incremental path: computes the squared norm of
-    A^(upto) tau[:upto] in row chunks.  Returns an int for binary graphs.
+    A^(upto) tau[:upto].  Returns an int for binary graphs.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim != 1:
@@ -271,13 +269,8 @@ def imbalance_recompute(g: Graph, tau, upto: int | None = None):
         upto = tau.shape[0]
     if upto < 1 or upto > g.n or upto > tau.shape[0]:
         raise ContractError(f"prefix length {upto} invalid for n={g.n}, tau={tau.shape[0]}")
-    prefix = tau[:upto]
-    total = 0.0
-    for i0 in range(0, upto, _RECOMPUTE_CHUNK):
-        i1 = min(i0 + _RECOMPUTE_CHUNK, upto)
-        rows = g.matrix[i0:i1, :upto].astype(np.float64)
-        s = rows @ prefix
-        total += float(s @ s)
+    s = RevealedView(g, upto).matvec(tau[:upto])
+    total = float(s @ s)
     return total if g.weighted else int(round(total))
 
 
@@ -287,6 +280,8 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
     Vectorizes the per-step coin across replicates; each replicate consumes
     the same draws it would in :func:`run_design` when fed column r of the
     per-step uniform blocks (property-tested against the scalar engine).
+    Reads the graph through a :class:`RevealedView` revealed pair by pair,
+    as :func:`run_design` does.
     Returns int64 for binary graphs, float64 for weighted ones.  The odd-n
     convention applies: a trailing unpaired subject never changes the value.
     """
@@ -300,9 +295,11 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
     b = cfg.effective_b
     n2 = n - (n % 2)
     pairs = n2 // 2
-    mat = g.matrix
-    d = float(mat[0, 0])
-    a12 = float(mat[0, 1])
+    view = RevealedView(g)
+    view.reveal_to(2)
+    first = view.pair_rows(0)
+    d = float(first[0, 0])
+    a12 = float(first[0, 1])
 
     s = np.zeros((reps, n2), dtype=np.float64)
     tau = np.zeros((reps, n2), dtype=np.float64)
@@ -315,10 +312,10 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
 
     for m in range(1, pairs):
         length = 2 * m
-        block = mat[length:length + 2, :length].astype(np.float64)
-        corner = float(mat[length, length + 1])
-        diag = float(mat[length, length])
-        e = diag - corner
+        view.reveal_to(length + 2)
+        rows = view.pair_rows(length)
+        block = rows[:, :length].astype(np.float64)
+        e = float(rows[0, length]) - float(rows[0, length + 1])
         z = tau[:, :length] @ block.T
         y = block[1] - block[0]
         sy = s[:, :length] @ y

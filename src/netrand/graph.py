@@ -2,8 +2,9 @@
 
 Graphs are immutable after construction and safe to share across threads.
 Binary adjacency is stored as a dense uint8 matrix (unit diagonal), weighted
-adjacency as float64; both support O(1) entry reads and O(n) row-prefix reads,
-which keeps a full 10000-node sequential run comfortably in memory.
+adjacency as float64, which keeps a full 10000-node sequential run comfortably
+in memory.  Designs and outcome simulation read the matrix only through
+``RevealedView``.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ WEIGHTED = "weighted"
 
 # Dense storage caps ingestion at ~1 GiB; larger-than-memory graphs are out of scope.
 _MAX_DENSE_NODES = 32768
+# Row-block size of the chunked passes over a dense matrix (mirroring, mat-vec).
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
+    ``pair_rows`` and ``matvec`` are the only reads.
     """
 
     def __init__(self, graph: Graph, revealed: int = 0):
@@ -94,25 +98,30 @@ class RevealedView:
             raise ContractError(f"cannot reveal prefix {k} (currently {self._revealed})")
         self._revealed = k
 
-    def entry(self, i: int, j: int):
-        if i >= self._revealed or j >= self._revealed or i < 0 or j < 0:
-            raise ContractError(f"entry ({i},{j}) outside revealed prefix {self._revealed}")
-        return self.graph.matrix[i, j]
+    def pair_rows(self, length: int) -> np.ndarray:
+        """Rows (length, length+1) over columns [0, length+2): the newest pair's rows.
 
-    def row_prefix(self, i: int, length: int) -> np.ndarray:
-        if i >= self._revealed or length > self._revealed or i < 0 or length < 0:
+        Columns [0, length) join the pair to the earlier subjects; column
+        ``length`` of the first row is the self-weight and column
+        ``length + 1`` the corner joining the two new subjects.
+        """
+        if length < 0 or length + 2 > self._revealed:
             raise ContractError(
-                f"row {i} prefix {length} outside revealed prefix {self._revealed}"
+                f"pair rows at {length} outside revealed prefix {self._revealed}"
             )
-        return self.graph.matrix[i, :length]
+        return self.graph.matrix[length:length + 2, :length + 2]
 
-    def pair_block(self, length: int) -> np.ndarray:
-        """Rows (length, length+1) over columns [0, length): the two newest rows."""
-        if length + 2 > self._revealed or length < 0:
-            raise ContractError(
-                f"pair block at {length} outside revealed prefix {self._revealed}"
-            )
-        return self.graph.matrix[length:length + 2, :length]
+    def matvec(self, v) -> np.ndarray:
+        """Revealed submatrix times ``v`` in float64, converted in row chunks."""
+        k = self._revealed
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (k,):
+            raise ContractError(f"vector of shape {v.shape} does not match revealed prefix {k}")
+        out = np.empty(k, dtype=np.float64)
+        for i0 in range(0, k, _CHUNK_ROWS):
+            i1 = min(i0 + _CHUNK_ROWS, k)
+            out[i0:i1] = self.graph.matrix[i0:i1, :k].astype(np.float64) @ v
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,11 +166,10 @@ class GoeParams:
 def _mirror_upper(a: np.ndarray) -> None:
     """Copy the strict upper triangle onto the lower one, block-wise."""
     n = a.shape[0]
-    step = 2048
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        for j0 in range(i0, n, step):
-            j1 = min(j0 + step, n)
+    for i0 in range(0, n, _CHUNK_ROWS):
+        i1 = min(i0 + _CHUNK_ROWS, n)
+        for j0 in range(i0, n, _CHUNK_ROWS):
+            j1 = min(j0 + _CHUNK_ROWS, n)
             if j0 > i0:
                 a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
             else:
@@ -230,8 +238,6 @@ def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             yield from fh
-    elif hasattr(source, "read"):
-        yield from source
     else:
         yield from source
 

@@ -95,7 +95,6 @@ class ExperimentSpec:
     outcome: OutcomeParams | None = None
     reps: int = 100
     seed: int = 0
-    edges_path: str | None = None
     sample_source: Graph | None = None
     allow_odd: bool = False
 
@@ -111,6 +110,8 @@ class ExperimentSpec:
                 raise ParameterError(f"n={n} is odd; pass allow_odd=True to permit it")
         if self.reps < 1:
             raise ParameterError("reps must be at least 1")
+        if not 0.5 <= self.b <= 1.0:
+            raise ParameterError("biasing probability must lie in [0.5, 1]")
         if not self.policies:
             raise ParameterError("at least one policy required")
         for pol in self.policies:
@@ -128,8 +129,8 @@ class ExperimentSpec:
                     "goe model needs exactly one of sigma2 or sparse_log_density"
                 )
         elif self.model == REAL:
-            if self.edges_path is None and self.sample_source is None:
-                raise ParameterError("real model needs an edge list or a source graph")
+            if self.sample_source is None:
+                raise ParameterError("real model needs a source graph")
 
 
 @dataclass(frozen=True)
@@ -261,8 +262,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     spawn keys, so execution order cannot change any number.
     """
     source = spec.sample_source
-    if spec.model == REAL and source is None:
-        source = graphmod.from_edge_list(spec.edges_path)
     rows: list[ResultRow] = []
     for cell, n in enumerate(spec.n_values):
         params = _cell_params(spec, n)
@@ -316,6 +315,13 @@ class ReductionReport:
     zero_denominator: bool = False
 
 
+def relative_reduction(adaptive_mean: float, random_mean: float) -> tuple[float, bool]:
+    """``1 - adaptive/random`` and a zero-denominator flag (reduction 0 when set)."""
+    if random_mean == 0.0:
+        return 0.0, True
+    return 1.0 - adaptive_mean / random_mean, False
+
+
 def reduction_report(g: Graph, b: float, reps: int, seed) -> ReductionReport:
     """Mean final imbalance under both policies on the same graph.
 
@@ -336,6 +342,5 @@ def reduction_report(g: Graph, b: float, reps: int, seed) -> ReductionReport:
     r_mean = float(i_random.mean())
     a_se = float(i_adaptive.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     r_se = float(i_random.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    if r_mean == 0.0:
-        return ReductionReport(a_mean, r_mean, 0.0, reps, a_se, r_se, zero_denominator=True)
-    return ReductionReport(a_mean, r_mean, 1.0 - a_mean / r_mean, reps, a_se, r_se)
+    reduction, zero = relative_reduction(a_mean, r_mean)
+    return ReductionReport(a_mean, r_mean, reduction, reps, a_se, r_se, zero_denominator=zero)

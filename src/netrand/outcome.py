@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .graph import Graph
+from .graph import Graph, RevealedView
 from .design import imbalance_recompute
-
-_MATVEC_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,6 @@ def _check_sign_vector(g: Graph, tau) -> np.ndarray:
     return tau
 
 
-def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.empty(matrix.shape[0], dtype=np.float64)
-    for i0 in range(0, matrix.shape[0], _MATVEC_CHUNK):
-        i1 = min(i0 + _MATVEC_CHUNK, matrix.shape[0])
-        out[i0:i1] = matrix[i0:i1].astype(np.float64) @ v
-    return out
-
-
 def simulate_outcomes(g: Graph, tau, params: OutcomeParams, rng) -> TrialOutcome:
     """Draw one outcome vector and its estimate for a fixed assignment.
 
@@ -71,7 +61,7 @@ def simulate_outcomes(g: Graph, tau, params: OutcomeParams, rng) -> TrialOutcome
     z = rng.normal(0.0, params.sigma_z, n)
     eps = rng.normal(0.0, params.sigma_eps, n)
     effects = np.where(tau > 0, params.mu0, params.mu1)
-    x = effects + _matvec(g.matrix, z) + eps
+    x = effects + RevealedView(g, n).matvec(z) + eps
     paired_n = n - (n % 2)
     w = 2.0 / paired_n * float(tau[:paired_n] @ x[:paired_n])
     return TrialOutcome(x=x, w=w, paired_n=paired_n)

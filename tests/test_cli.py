@@ -90,6 +90,16 @@ class TestSimulate:
         ])
         assert rc == 2
 
+    def test_b_out_of_range_exit_2_for_every_policy(self, tmp_path):
+        for policy in ("random", "adaptive", "both"):
+            out = tmp_path / f"{policy}.csv"
+            rc = main([
+                "simulate", "--model", "er", "--n", "10", "--p", "0.2", "--policy", policy,
+                "--b", "0.3", "--reps", "1", "--out", str(out),
+            ])
+            assert rc == 2
+            assert not out.exists()
+
     def test_n_range_syntax(self, tmp_path):
         out = tmp_path / "r.csv"
         main([
@@ -212,6 +222,23 @@ class TestOracleCmd:
         assert "exact_expected_i2: 0.0" in out
         assert "mc_mean_i2: 0.0" in out
         assert "overall: PASS" in out
+
+    def test_failed_self_check_exits_1(self, capsys):
+        # three replicates all land on the minimum 14, so se = 0 and the
+        # exact expectation 14.22 lies outside the zero-width band
+        rc = main(["oracle", "--n", "8", "--p", "0.5", "--mc-reps", "3"])
+        out = capsys.readouterr().out
+        assert "check_mc_vs_exact: FAIL" in out
+        assert "overall: FAIL" in out
+        assert rc == 1
+
+    @pytest.mark.parametrize("reps", ["1", "0"])
+    def test_too_few_mc_reps_rejected_before_work(self, capsys, reps):
+        rc = main(["oracle", "--n", "8", "--p", "0.5", "--mc-reps", reps])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--mc-reps" in captured.err
 
     def test_odd_n_usage_error(self):
         assert main(["oracle", "--n", "7", "--p", "0.5"]) == 2

@@ -219,7 +219,15 @@ class TestRunDesign:
         with pytest.raises(ParameterError):
             run_design(Graph(np.ones((1, 1), dtype=np.uint8), "binary"), DesignConfig())
 
-    def test_reveals_prefix_in_pair_steps(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda g, cfg: run_design(g, cfg),
+            lambda g, cfg: run_design_many(g, cfg, 3),
+        ],
+        ids=["run_design", "run_design_many"],
+    )
+    def test_reveals_prefix_in_pair_steps(self, monkeypatch, engine):
         calls = []
         orig = RevealedView.reveal_to
 
@@ -228,7 +236,7 @@ class TestRunDesign:
             return orig(self, k)
 
         monkeypatch.setattr(design.RevealedView, "reveal_to", recording)
-        run_design(gen_er(ErParams(12, 0.5), seed=0), DesignConfig(ADAPTIVE, seed=0))
+        engine(gen_er(ErParams(12, 0.5), seed=0), DesignConfig(ADAPTIVE, seed=0))
         assert calls == [2, 4, 6, 8, 10, 12]
 
 

@@ -229,13 +229,21 @@ class TestRevealedView:
         g = gen_er(ErParams(10, 0.5), seed=0)
         view = RevealedView(g)
         view.reveal_to(4)
-        assert view.entry(3, 0) == g.matrix[3, 0]
+        assert np.array_equal(view.pair_rows(2), g.matrix[2:4, :4])
         with pytest.raises(ContractError):
-            view.entry(4, 0)
+            view.pair_rows(3)
         with pytest.raises(ContractError):
-            view.row_prefix(2, 5)
+            view.pair_rows(4)
         with pytest.raises(ContractError):
-            view.pair_block(4)
+            view.pair_rows(-1)
+        with pytest.raises(ContractError):
+            view.matvec(np.ones(5))
+
+    def test_matvec_is_prefix_product(self):
+        g = gen_goe(GoeParams(9, 0.5), seed=3)
+        v = np.linspace(-1.0, 1.0, 6)
+        view = RevealedView(g, revealed=6)
+        assert np.allclose(view.matvec(v), g.matrix[:6, :6] @ v)
 
     def test_cannot_unreveal(self):
         view = RevealedView(gen_er(ErParams(6, 0.5), seed=0), revealed=4)

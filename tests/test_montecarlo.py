@@ -207,18 +207,18 @@ class TestRunExperiment:
         parent = gen_er(ErParams(60, 0.2), seed=14)
         path = tmp_path / "parent.txt"
         write_edge_list(parent, path)
+        from netrand import from_edge_list
+
         spec = ExperimentSpec(
             model="real", n_values=(20, 30), policies=(ADAPTIVE,), b=0.85,
-            reps=3, seed=5, edges_path=str(path),
+            reps=3, seed=5, sample_source=from_edge_list(str(path)),
         )
         res = run_experiment(spec)
         assert len(res.rows) == 6
         for row in res.rows:
             assert row.model == "real"
             assert row.density is not None and 0.0 < row.density < 1.0
-        # passing the parsed graph directly routes identically to edges_path
-        from netrand import from_edge_list
-
+        # a fresh parse of the same file reproduces every replicate
         res2 = run_experiment(
             ExperimentSpec(
                 model="real", n_values=(20, 30), policies=(ADAPTIVE,), b=0.85,

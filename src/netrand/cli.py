@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -76,7 +77,18 @@ def _summary_path(out: str) -> str:
     return out + ".summary.csv"
 
 
+def _check_outputs(*paths) -> None:
+    """Reject output paths whose directory is missing or unwritable, before any work."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(f"output directory {str(parent)!r} does not exist")
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(f"output directory {str(parent)!r} is not writable")
+
+
 def _parse_n_values(entries) -> tuple[int, ...]:
+    """Sweep sizes from repeatable entries; each must be even, since subjects arrive in pairs."""
     values: list[int] = []
     for entry in entries:
         if ":" in entry:
@@ -89,10 +101,15 @@ def _parse_n_values(entries) -> tuple[int, ...]:
             values.extend(range(start, stop + 1, step_))
         else:
             values.append(int(entry))
+    for n in values:
+        if n % 2:
+            raise ParameterError(f"n={n} is odd; simulate and real sweep even sizes only")
     return tuple(values)
 
 
 def cmd_simulate(args) -> int:
+    summary_out = args.summary_out or _summary_path(args.out)
+    _check_outputs(args.out, summary_out)
     policies = {
         "adaptive": (ADAPTIVE,),
         "random": (RANDOM,),
@@ -120,14 +137,16 @@ def cmd_simulate(args) -> int:
     )
     result = run_experiment(spec)
     _write_csv(args.out, RESULT_COLUMNS, result.rows)
-    _write_csv(args.summary_out or _summary_path(args.out), SUMMARY_COLUMNS, result.summaries)
+    _write_csv(summary_out, SUMMARY_COLUMNS, result.summaries)
     return 0
 
 
 def cmd_real(args) -> int:
     """Fresh induced sample and arrival order per replicate, both policies."""
+    summary_out = args.summary_out or _summary_path(args.out)
+    _check_outputs(args.out, summary_out)
+    sizes = _parse_n_values(args.n_sweep or [str(args.sample)])
     parent = graphmod.from_edge_list(args.edges)
-    sizes = _parse_n_values(args.n_sweep) if args.n_sweep else (args.sample,)
     for k in sizes:
         if k > parent.n:
             raise ParameterError(f"sample size {k} exceeds graph size {parent.n}")
@@ -151,11 +170,12 @@ def cmd_real(args) -> int:
             k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density
         ))
     _write_csv(args.out, REAL_COLUMNS, result.rows)
-    _write_csv(args.summary_out or _summary_path(args.out), REAL_SUMMARY_COLUMNS, summary_rows)
+    _write_csv(summary_out, REAL_SUMMARY_COLUMNS, summary_rows)
     return 0
 
 
 def cmd_assign(args) -> int:
+    _check_outputs(args.out)
     g = graphmod.from_edge_list(args.edges)
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
     if args.order == "random":

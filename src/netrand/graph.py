@@ -21,8 +21,11 @@ WEIGHTED = "weighted"
 
 # Dense storage caps ingestion at ~1 GiB; larger-than-memory graphs are out of scope.
 _MAX_DENSE_NODES = 32768
-# Row-block size of the chunked passes over a dense matrix (mirroring, mat-vec).
+# Row-block size of the float mat-vec; fixed, so its sums and GOE outcomes stay reproducible.
 _CHUNK_ROWS = 2048
+# Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring,
+# induced sampling); DECISIONS.md D4 has the measurements behind it.
+_TILE = 512
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Graph:
                 raise ParameterError("weighted adjacency must have a constant diagonal")
         else:
             raise ParameterError(f"unknown graph kind {self.kind!r}")
-        if not np.array_equal(m, m.T):
+        if not _is_symmetric(m):
             raise ParameterError("adjacency must be symmetric")
         if self.labels is not None and len(self.labels) != m.shape[0]:
             raise ParameterError("labels length must match node count")
@@ -73,6 +76,18 @@ class Graph:
     @property
     def weighted(self) -> bool:
         return self.kind == WEIGHTED
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    """``m == m.T``, compared one tile pair at a time; stops at the first mismatch."""
+    n = m.shape[0]
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i0, n, _TILE):
+            j1 = min(j0 + _TILE, n)
+            if not np.array_equal(m[i0:i1, j0:j1], m[j0:j1, i0:i1].T):
+                return False
+    return True
 
 
 class RevealedView:
@@ -164,12 +179,12 @@ class GoeParams:
 
 
 def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle onto the lower one, block-wise."""
+    """Copy the strict upper triangle onto the zero lower one, tile by tile."""
     n = a.shape[0]
-    for i0 in range(0, n, _CHUNK_ROWS):
-        i1 = min(i0 + _CHUNK_ROWS, n)
-        for j0 in range(i0, n, _CHUNK_ROWS):
-            j1 = min(j0 + _CHUNK_ROWS, n)
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i0, n, _TILE):
+            j1 = min(j0 + _TILE, n)
             if j0 > i0:
                 a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
             else:
@@ -220,7 +235,7 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     a = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         a[i, i + 1:] = rng.normal(0.0, sigma, n - i - 1)
-    a += np.triu(a, 1).T
+    _mirror_upper(a)
     np.fill_diagonal(a, 1.0)
     return Graph(a, WEIGHTED)
 
@@ -309,7 +324,10 @@ def induced_subgraph_sample(g: Graph, k: int, seed) -> Graph:
         raise ParameterError(f"sample size {k} outside [2, {g.n}]")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(g.n)[:k]
-    sub = np.ascontiguousarray(g.matrix[np.ix_(idx, idx)])
+    # Row blocks keep the gathered-rows intermediate at _TILE x n.
+    sub = np.empty((k, k), dtype=g.matrix.dtype)
+    for i0 in range(0, k, _TILE):
+        np.take(g.matrix[idx[i0:i0 + _TILE]], idx, axis=1, out=sub[i0:i0 + _TILE])
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[i] for i in idx.tolist())

@@ -4,6 +4,7 @@ import pytest
 
 from netrand import ErParams, gen_er, write_edge_list, summarize
 from netrand.montecarlo import ResultRow
+from netrand import cli, graph
 from netrand.cli import main
 
 
@@ -199,6 +200,49 @@ class TestAssign:
         out = tmp_path / "a.csv"
         main(["assign", "--edges", str(edges), "--out", str(out)])
         assert [r["node_id"] for r in read_csv(out)] == ["x", "y", "z"]
+
+
+class TestRejectedBeforeWork:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", forbidden)
+        monkeypatch.setattr(cli, "run_design", forbidden)
+        monkeypatch.setattr(graph, "from_edge_list", forbidden)
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-summary", "real", "assign"])
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys, no_work, command):
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\n")
+        missing = str(tmp_path / "absent" / "x.csv")
+        argv = {
+            "simulate": ["simulate", "--model", "er", "--n", "20", "--p", "0.3", "--out", missing],
+            "simulate-summary": ["simulate", "--model", "er", "--n", "20", "--p", "0.3",
+                                 "--out", str(tmp_path / "x.csv"), "--summary-out", missing],
+            "real": ["real", "--edges", str(edges), "--sample", "2", "--out", missing],
+            "assign": ["assign", "--edges", str(edges), "--out", missing],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not exist" in err
+        assert list(tmp_path.iterdir()) == [edges]
+
+    @pytest.mark.parametrize("command", ["simulate", "real", "real-sweep"])
+    def test_odd_size_exits_2_without_library_keyword(self, tmp_path, capsys, no_work, command):
+        edges = tmp_path / "net.txt"
+        write_er_fixture(edges)
+        out = str(tmp_path / "x.csv")
+        argv = {
+            "simulate": ["simulate", "--model", "er", "--n", "11", "--p", "0.3", "--out", out],
+            "real": ["real", "--edges", str(edges), "--sample", "11", "--out", out],
+            "real-sweep": ["real", "--edges", str(edges), "--n-sweep", "10:20:5", "--out", out],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is odd" in err and "even" in err
+        assert "allow_odd" not in err
 
 
 class TestOracleCmd:

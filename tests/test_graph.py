@@ -24,6 +24,7 @@ from netrand import (
     scale_weights,
     write_edge_list,
 )
+from netrand.graph import _TILE, _mirror_upper
 
 
 def complete_graph(n):
@@ -197,6 +198,21 @@ class TestInducedSample:
         se = ds.std(ddof=1) / math.sqrt(len(ds))
         assert abs(ds.mean() - parent) < 3 * se
 
+    @pytest.mark.parametrize("kind", ["binary", "weighted"])
+    @pytest.mark.parametrize("k", [1100, 1500])
+    def test_row_blocks_match_fancy_index_reference(self, kind, k):
+        n, seed = 1500, 12
+        if kind == "binary":
+            g = gen_er(ErParams(n, 0.1), seed=2)
+        else:
+            g = gen_goe(GoeParams(n, 0.5), seed=2)
+        g = Graph(g.matrix, kind, labels=tuple(f"v{i}" for i in range(n)))
+        s = induced_subgraph_sample(g, k, seed=seed)
+        idx = np.random.default_rng(seed).permutation(n)[:k]
+        assert s.matrix.dtype == g.matrix.dtype
+        assert np.array_equal(s.matrix, g.matrix[np.ix_(idx, idx)])
+        assert s.labels == tuple(f"v{i}" for i in idx.tolist())
+
     def test_size_bounds(self):
         g = gen_er(ErParams(10, 0.5), seed=0)
         with pytest.raises(ParameterError):
@@ -262,6 +278,42 @@ class TestGraphType:
         m[0, 1] = 1
         with pytest.raises(ParameterError):
             Graph(m, "binary")
+
+    # n spans two full tiles and a partial third one
+    TILED_N = 2 * _TILE + 3
+
+    @pytest.mark.parametrize("dtype, kind", [(np.uint8, "binary"), (np.float64, "weighted")])
+    @pytest.mark.parametrize("i, j", [
+        (3, 100),                      # diagonal tile
+        (10, 2 * _TILE - 5),           # full off-diagonal tile, far from the diagonal
+        (2 * _TILE - 5, 10),           # the same tile pair, from below
+        (5, 2 * _TILE + 1),            # partial last tile column
+        (2 * _TILE + 2, 2 * _TILE),    # partial last diagonal tile
+    ])
+    def test_single_asymmetric_entry_rejected_in_every_tile(self, dtype, kind, i, j):
+        m = np.eye(self.TILED_N, dtype=dtype)
+        m[i, j] = 1
+        with pytest.raises(ParameterError, match="symmetric"):
+            Graph(m, kind)
+        m[j, i] = 1
+        assert Graph(m, kind).n == self.TILED_N
+
+    def test_tiny_weighted_asymmetry_rejected(self):
+        m = np.eye(self.TILED_N)
+        m[7, 2 * _TILE + 1] = 0.5
+        m[2 * _TILE + 1, 7] = 0.5 + 1e-12
+        with pytest.raises(ParameterError, match="symmetric"):
+            Graph(m, "weighted")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_mirror_upper_matches_dense_mirror(self, dtype):
+        rng = np.random.default_rng(4)
+        n = 2 * _TILE + 77
+        upper = rng.integers(0, 2, (n, n)) if dtype == np.uint8 else rng.normal(size=(n, n))
+        a = np.triu(upper, 1).astype(dtype)
+        expected = np.triu(a, 1) + np.triu(a, 1).T
+        _mirror_upper(a)
+        assert np.array_equal(a, expected)
 
     def test_scale_weights(self):
         g = gen_goe(GoeParams(6, 0.3), seed=1)

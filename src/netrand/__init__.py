@@ -29,15 +29,9 @@ from .design import (
     RANDOM,
     DesignConfig,
     DesignResult,
-    DesignState,
-    PairIncrement,
-    assign_first_pair,
-    candidate_imbalances,
     imbalance_recompute,
-    increment_from_view,
     run_design,
     run_design_many,
-    step,
 )
 from .outcome import OutcomeParams, TrialOutcome, analytic_variance, simulate_outcomes, unbiasedness_check
 from .montecarlo import (

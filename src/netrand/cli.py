@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,22 +89,23 @@ def _check_outputs(*paths) -> None:
 
 
 def _parse_n_values(entries) -> tuple[int, ...]:
-    """Sweep sizes from repeatable entries; each must be even, since subjects arrive in pairs."""
+    """Sweep sizes from repeatable entries: an integer or an inclusive start:stop:step."""
     values: list[int] = []
     for entry in entries:
-        if ":" in entry:
-            parts = entry.split(":")
-            if len(parts) != 3:
-                raise ParameterError(f"range must be start:stop:step, got {entry!r}")
-            start, stop, step_ = (int(x) for x in parts)
+        parts = entry.split(":")
+        if len(parts) not in (1, 3):
+            raise ParameterError(f"range must be start:stop:step, got {entry!r}")
+        try:
+            numbers = [int(x) for x in parts]
+        except ValueError:
+            raise ParameterError(f"size must be an integer, got {entry!r}") from None
+        if len(numbers) == 1:
+            values.append(numbers[0])
+        else:
+            start, stop, step_ = numbers
             if step_ <= 0 or stop < start:
                 raise ParameterError(f"bad range {entry!r}")
             values.extend(range(start, stop + 1, step_))
-        else:
-            values.append(int(entry))
-    for n in values:
-        if n % 2:
-            raise ParameterError(f"n={n} is odd; simulate and real sweep even sizes only")
     return tuple(values)
 
 
@@ -145,24 +147,18 @@ def cmd_real(args) -> int:
     """Fresh induced sample and arrival order per replicate, both policies."""
     summary_out = args.summary_out or _summary_path(args.out)
     _check_outputs(args.out, summary_out)
-    sizes = _parse_n_values(args.n_sweep or [str(args.sample)])
-    parent = graphmod.from_edge_list(args.edges)
-    for k in sizes:
-        if k > parent.n:
-            raise ParameterError(f"sample size {k} exceeds graph size {parent.n}")
     spec = ExperimentSpec(
         model="real",
-        n_values=sizes,
+        n_values=_parse_n_values(args.n_sweep or [str(args.sample)]),
         policies=(ADAPTIVE, RANDOM),
         b=args.b,
         reps=args.reps,
         seed=args.seed,
-        sample_source=parent,
     )
-    result = run_experiment(spec)
+    result = run_experiment(replace(spec, sample_source=graphmod.from_edge_list(args.edges)))
     mean_i = {(s.n, s.policy): s.mean_i for s in result.summaries}
     summary_rows = []
-    for k in sizes:
+    for k in spec.n_values:
         a_mean, r_mean = mean_i[k, ADAPTIVE], mean_i[k, RANDOM]
         reduction, zero = relative_reduction(a_mean, r_mean)
         mean_density = float(np.mean([r.density for r in result.rows if r.n == k]))
@@ -176,11 +172,12 @@ def cmd_real(args) -> int:
 
 def cmd_assign(args) -> int:
     _check_outputs(args.out)
-    g = graphmod.from_edge_list(args.edges)
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
+    cfg = DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss)
+    g = graphmod.from_edge_list(args.edges)
     if args.order == "random":
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
-    res = run_design(g, DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss))
+    res = run_design(g, cfg)
     i_by_pair = res.i_trajectory
     last_pair = len(i_by_pair) - 1
     rows = (
@@ -279,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     assign.set_defaults(func=cmd_assign)
 
     orc = sub.add_parser("oracle", help="brute-force consistency report on a small instance")
-    orc.add_argument("--model", choices=["er"], default="er")
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--p", type=float, required=True)
     orc.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,6 @@ integers, at every step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ class DesignConfig:
 
 @dataclass
 class DesignState:
-    """State after ``pairs`` completed pairs: sign prefix, S prefix, exact I^2.
+    """State after ``pairs`` completed pairs: sign prefix, S prefix, I^2.
 
     Buffers are preallocated to the even part of n; the valid prefix has
     length 2 * pairs.  Confined to a single run; not thread-safe.
@@ -60,7 +59,6 @@ class DesignState:
     s_buf: np.ndarray
     tau_buf: np.ndarray
     i2: float
-    weighted: bool
 
     @property
     def s(self) -> np.ndarray:
@@ -69,10 +67,6 @@ class DesignState:
     @property
     def tau(self) -> np.ndarray:
         return self.tau_buf[: 2 * self.pairs]
-
-    @property
-    def i2_exact(self):
-        return self.i2 if self.weighted else int(self.i2)
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,7 @@ class PairIncrement:
 def assign_first_pair(view: RevealedView, rng) -> DesignState:
     """Assign opposite treatments to the first two subjects by a fair coin."""
     rows = view.pair_rows(0)
-    g = view.graph
-    n2 = g.n - (g.n % 2)
+    n2 = view.graph.n - (view.graph.n % 2)
     d = float(rows[0, 0])
     a = float(rows[0, 1])
     tau0 = 1.0 if rng.random() < 0.5 else -1.0
@@ -106,9 +99,7 @@ def assign_first_pair(view: RevealedView, rng) -> DesignState:
     s_buf[1] = -tau0 * (d - a)
     tau_buf[0] = tau0
     tau_buf[1] = -tau0
-    return DesignState(
-        pairs=1, s_buf=s_buf, tau_buf=tau_buf, i2=2.0 * (d - a) ** 2, weighted=g.weighted
-    )
+    return DesignState(pairs=1, s_buf=s_buf, tau_buf=tau_buf, i2=2.0 * (d - a) ** 2)
 
 
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
@@ -189,21 +180,14 @@ class DesignResult:
     """Outcome of a full sequential run.
 
     ``i2_trajectory`` holds the squared imbalance after each completed pair
-    (int64 for binary graphs, float64 for weighted).  ``final_i2`` follows
-    the odd-n convention that the last unpaired subject does not change the
-    reported imbalance; ``full_i2`` additionally includes the last row and
-    column of the matrix (identical to ``final_i2`` for even n).
+    (int64 for binary graphs, float64 for weighted).  ``final_i2`` is its last
+    value: by the odd-n convention the last unpaired subject does not change
+    the reported imbalance.
     """
 
     tau: np.ndarray
     i2_trajectory: np.ndarray
     final_i2: int | float
-    full_i2: int | float
-    weighted: bool
-
-    @property
-    def final_i(self) -> float:
-        return math.sqrt(self.final_i2)
 
     @property
     def i_trajectory(self) -> np.ndarray:
@@ -238,22 +222,10 @@ def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
     tau[: 2 * pairs] = state.tau_buf.astype(np.int8)
     if n % 2:
         tau[-1] = 1 if rng.random() < 0.5 else -1
-        full_i2 = imbalance_recompute(g, tau, n)
-    else:
-        full_i2 = state.i2_exact
     if g.weighted:
-        trajectory = traj
-        final_i2 = float(traj[-1])
-    else:
-        trajectory = np.asarray(np.rint(traj), dtype=np.int64)
-        final_i2 = int(trajectory[-1])
-    return DesignResult(
-        tau=tau,
-        i2_trajectory=trajectory,
-        final_i2=final_i2,
-        full_i2=full_i2,
-        weighted=g.weighted,
-    )
+        return DesignResult(tau, traj, float(traj[-1]))
+    trajectory = np.asarray(np.rint(traj), dtype=np.int64)
+    return DesignResult(tau, trajectory, int(trajectory[-1]))
 
 
 def imbalance_recompute(g: Graph, tau, upto: int | None = None):

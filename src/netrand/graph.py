@@ -192,16 +192,21 @@ def _mirror_upper(a: np.ndarray) -> None:
                 block += np.triu(block, 1).T
 
 
+def _symmetric(n: int, dtype, upper_row, diag) -> np.ndarray:
+    """Symmetric matrix whose row i right of the diagonal is ``upper_row(i)``, in row order."""
+    a = np.zeros((n, n), dtype=dtype)
+    for i in range(n - 1):
+        a[i, i + 1:] = upper_row(i)
+    _mirror_upper(a)
+    np.fill_diagonal(a, diag)
+    return a
+
+
 def gen_er(params: ErParams, seed) -> Graph:
     """Erdos-Renyi adjacency: off-diagonal edges iid Bernoulli(p), unit diagonal."""
     n, p = params.n, params.p
     rng = np.random.default_rng(seed)
-    a = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n - 1):
-        a[i, i + 1:] = rng.random(n - i - 1) < p
-    _mirror_upper(a)
-    np.fill_diagonal(a, 1)
-    return Graph(a, BINARY)
+    return Graph(_symmetric(n, np.uint8, lambda i: rng.random(n - i - 1) < p, 1), BINARY)
 
 
 def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
@@ -218,13 +223,12 @@ def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
         labels = np.asarray(labels, dtype=np.int8)
         if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
             raise ParameterError("labels must be n values in {0, 1}")
-    a = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n - 1):
+
+    def upper_row(i):
         rates = np.where(labels[i + 1:] == labels[i], params.p_in, params.p_out)
-        a[i, i + 1:] = rng.random(n - i - 1) < rates
-    _mirror_upper(a)
-    np.fill_diagonal(a, 1)
-    return Graph(a, BINARY)
+        return rng.random(n - i - 1) < rates
+
+    return Graph(_symmetric(n, np.uint8, upper_row, 1), BINARY)
 
 
 def gen_goe(params: GoeParams, seed) -> Graph:
@@ -232,11 +236,7 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     n = params.n
     sigma = float(np.sqrt(params.sigma2))
     rng = np.random.default_rng(seed)
-    a = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        a[i, i + 1:] = rng.normal(0.0, sigma, n - i - 1)
-    _mirror_upper(a)
-    np.fill_diagonal(a, 1.0)
+    a = _symmetric(n, np.float64, lambda i: rng.normal(0.0, sigma, n - i - 1), 1.0)
     return Graph(a, WEIGHTED)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,7 +97,6 @@ class ExperimentSpec:
     reps: int = 100
     seed: int = 0
     sample_source: Graph | None = None
-    allow_odd: bool = False
 
     def __post_init__(self):
         if self.model not in (ER, SBM, GOE, REAL):
@@ -106,8 +106,8 @@ class ExperimentSpec:
         for n in self.n_values:
             if n < 2:
                 raise ParameterError("all n values must be at least 2")
-            if n % 2 and not self.allow_odd:
-                raise ParameterError(f"n={n} is odd; pass allow_odd=True to permit it")
+            if n % 2:
+                raise ParameterError(f"n={n} is odd; sweeps take even sizes only")
         if self.reps < 1:
             raise ParameterError("reps must be at least 1")
         if not 0.5 <= self.b <= 1.0:
@@ -128,14 +128,14 @@ class ExperimentSpec:
                 raise ParameterError(
                     "goe model needs exactly one of sigma2 or sparse_log_density"
                 )
-        elif self.model == REAL:
-            if self.sample_source is None:
-                raise ParameterError("real model needs a source graph")
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Per-replicate record; mirrors the CSV schema emitted by the CLI."""
+    """Per-replicate record; mirrors the CSV schema emitted by the CLI.
+
+    Only ``i2`` is stored; ``i``, ``i4`` and ``two_i_over_n`` are derived from it.
+    """
 
     model: str
     n: int
@@ -146,13 +146,22 @@ class ResultRow:
     p_out: float | None
     sigma2: float | None
     replicate: int
-    i: float
     i2: object
-    i4: float
-    two_i_over_n: float
     w: float | None
     seed: int
     density: float | None = None
+
+    @property
+    def i(self) -> float:
+        return math.sqrt(self.i2)
+
+    @property
+    def i4(self) -> float:
+        return float(self.i2) ** 2
+
+    @property
+    def two_i_over_n(self) -> float:
+        return 2.0 * self.i / self.n
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,6 @@ class MomentSummary:
     mean_i2: float
     mean_i4: float
     mean_two_i_over_n: float
-    sd_two_i_over_n: float
     ci_lo: float
     ci_hi: float
     iqr_lo: float
@@ -192,28 +200,28 @@ def replicate_streams(base_seed: int, cell: int, rep: int) -> list[np.random.See
     return root.spawn(4)
 
 
-def _cell_params(spec: ExperimentSpec, n: int):
+def _resolve_cell(spec: ExperimentSpec, n: int):
+    """``(make, params)`` of the size-n cell; ``make(params, seed)`` draws one graph.
+
+    ``params`` is the generator's parameter object, or the sample size for
+    ``real``.  Raises on a cell that cannot run, so a sweep fails before work.
+    """
     if spec.model == ER:
         p = spec.p if spec.p is not None else sparse_edge_probability(n, spec.sparse_log_density)
-        return {"p": p}
+        return graphmod.gen_er, ErParams(n, p)
     if spec.model == SBM:
-        return {"p_in": spec.p_in, "p_out": spec.p_out}
+        return graphmod.gen_sbm, SbmParams(n, spec.p_in, spec.p_out)
     if spec.model == GOE:
         if spec.sigma2 is not None:
-            return {"sigma2": spec.sigma2}
+            return graphmod.gen_goe, GoeParams(n, spec.sigma2)
         p = sparse_edge_probability(n, spec.sparse_log_density)
-        return {"sigma2": p * (1.0 - p)}
-    return {}
-
-
-def _make_graph(spec: ExperimentSpec, n: int, params: dict, source: Graph | None, seed):
-    if spec.model == ER:
-        return graphmod.gen_er(ErParams(n, params["p"]), seed)
-    if spec.model == SBM:
-        return graphmod.gen_sbm(SbmParams(n, params["p_in"], params["p_out"]), seed)
-    if spec.model == GOE:
-        return graphmod.gen_goe(GoeParams(n, params["sigma2"]), seed)
-    return graphmod.induced_subgraph_sample(source, n, seed)
+        return graphmod.gen_goe, GoeParams(n, p * (1.0 - p))
+    source = spec.sample_source
+    if source is None:
+        raise ParameterError("real model needs a source graph")
+    if n > source.n:
+        raise ParameterError(f"sample size {n} exceeds graph size {source.n}")
+    return partial(graphmod.induced_subgraph_sample, source), n
 
 
 def summarize(rows) -> tuple[MomentSummary, ...]:
@@ -243,7 +251,6 @@ def summarize(rows) -> tuple[MomentSummary, ...]:
                 mean_i2=float(np.mean([r.i2 for r in group])),
                 mean_i4=float(np.mean([r.i4 for r in group])),
                 mean_two_i_over_n=mean,
-                sd_two_i_over_n=sd,
                 ci_lo=mean - half,
                 ci_hi=mean + half,
                 iqr_lo=float(q1),
@@ -259,22 +266,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the sweep: fresh graph (or fresh subgraph sample) per replicate.
 
     Fully deterministic given the base seed; replicate streams are derived by
-    spawn keys, so execution order cannot change any number.
+    spawn keys, so execution order cannot change any number.  Every cell is
+    resolved before the first replicate, so a cell that cannot run fails first.
     """
-    source = spec.sample_source
+    cells = [_resolve_cell(spec, n) for n in spec.n_values]
     rows: list[ResultRow] = []
-    for cell, n in enumerate(spec.n_values):
-        params = _cell_params(spec, n)
+    for cell, (n, (make, params)) in enumerate(zip(spec.n_values, cells)):
         for rep in range(spec.reps):
             graph_ss, design_ss, out_a_ss, out_b_ss = replicate_streams(spec.seed, cell, rep)
-            g = _make_graph(spec, n, params, source, graph_ss)
+            g = make(params, graph_ss)
             dens = graphmod.density(g) if spec.model == REAL else None
             outcome_streams = {ADAPTIVE: out_a_ss, RANDOM: out_b_ss}
             for policy in spec.policies:
                 cfg = DesignConfig(policy=policy, b=spec.b, seed=design_ss)
                 result = run_design(g, cfg)
-                i2 = result.final_i2
-                i = math.sqrt(i2)
                 w = None
                 if spec.outcome is not None:
                     out_rng = np.random.default_rng(outcome_streams[policy])
@@ -285,15 +290,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         n=n,
                         policy=policy,
                         b=spec.b,
-                        p=params.get("p"),
-                        p_in=params.get("p_in"),
-                        p_out=params.get("p_out"),
-                        sigma2=params.get("sigma2"),
+                        p=getattr(params, "p", None),
+                        p_in=getattr(params, "p_in", None),
+                        p_out=getattr(params, "p_out", None),
+                        sigma2=getattr(params, "sigma2", None),
                         replicate=rep,
-                        i=i,
-                        i2=i2,
-                        i4=float(i2) ** 2,
-                        two_i_over_n=2.0 * i / n,
+                        i2=result.final_i2,
                         w=w,
                         seed=spec.seed,
                         density=dens,

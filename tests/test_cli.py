@@ -1,10 +1,11 @@
 import csv
+import hashlib
 
 import pytest
 
 from netrand import ErParams, gen_er, write_edge_list, summarize
 from netrand.montecarlo import ResultRow
-from netrand import cli, graph
+from netrand import cli, graph, montecarlo
 from netrand.cli import main
 
 
@@ -17,6 +18,55 @@ def write_er_fixture(path, n=60, p=0.15, seed=3):
     g = gen_er(ErParams(n, p), seed=seed)
     write_edge_list(g, path)
     return g
+
+
+# sha256 of small CLI outputs, recorded with numpy 2.4.6.  Only binary graphs and
+# no W column: every cell comes from exact integer arithmetic and short fixed-order
+# float reductions, not BLAS float sums, so these bytes hold while the streams do.
+GOLDEN = {
+    "simulate-er": (
+        ["simulate", "--model", "er", "--n", "20", "--n", "30", "--p", "0.3",
+         "--reps", "3", "--seed", "11"],
+        {
+            "out.csv": "086a2d8c74c7f5afa325f45a4ceca2c727780f09cfe3b8ecbae4a691b622360b",
+            "out.summary.csv": "9b25222ed9608be55e01fe1909bca5d5ddaae894f0475fb4fbe827f338c41da8",
+        },
+    ),
+    "simulate-sbm": (
+        ["simulate", "--model", "sbm", "--n", "24", "--p-in", "0.5", "--p-out", "0.1",
+         "--reps", "3", "--seed", "12"],
+        {
+            "out.csv": "8e69dd1ddae3d5dcc31b72b0d6061dd9f57e316f8e132dbefddaa77acf5bbdc8",
+            "out.summary.csv": "cf2cea57acb6112b2cb25486dcf2e0c45afacc26862d8c582b1194480371fe1d",
+        },
+    ),
+    "real": (
+        ["real", "--edges", "EDGES", "--n-sweep", "20:40:20", "--reps", "3", "--seed", "13"],
+        {
+            "out.csv": "ac7a5eacb7df5a174edc3e231fcb6b267de3ca8689f6b07bab0beae4aae56c67",
+            "out.summary.csv": "003551c92053abc0638e98209b1362d42fac107a8f7de1ad97590c913bdd2585",
+        },
+    ),
+    "assign-file": (
+        ["assign", "--edges", "EDGES", "--order", "file", "--seed", "14"],
+        {"out.csv": "7f898bae6c7cdc7234386ed78674ee083be993fc077a946a503b37252f411136"},
+    ),
+    "assign-random": (
+        ["assign", "--edges", "EDGES", "--order", "random", "--b", "0.9", "--seed", "15"],
+        {"out.csv": "9c4a2706f17ae7bfd05c1152db7cad67eeb3a15cc57002d985e015ba93a7177c"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(tmp_path, name):
+    argv, digests = GOLDEN[name]
+    edges = tmp_path / "net.txt"
+    write_er_fixture(edges)
+    argv = [str(edges) if a == "EDGES" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
 
 
 class TestSimulate:
@@ -52,16 +102,18 @@ class TestSimulate:
         rows = []
         for rec in read_csv(out):
             i2_text = rec["I2"]
-            rows.append(
-                ResultRow(
-                    model=rec["model"], n=int(rec["n"]), policy=rec["policy"],
-                    b=float(rec["b"]), p=float(rec["p"]), p_in=None, p_out=None,
-                    sigma2=None, replicate=int(rec["replicate"]), i=float(rec["I"]),
-                    i2=float(i2_text) if "." in i2_text else int(i2_text),
-                    i4=float(rec["I4"]), two_i_over_n=float(rec["two_I_over_n"]),
-                    w=None, seed=int(rec["seed"]),
-                )
+            row = ResultRow(
+                model=rec["model"], n=int(rec["n"]), policy=rec["policy"],
+                b=float(rec["b"]), p=float(rec["p"]), p_in=None, p_out=None,
+                sigma2=None, replicate=int(rec["replicate"]),
+                i2=float(i2_text) if "." in i2_text else int(i2_text),
+                w=None, seed=int(rec["seed"]),
             )
+            # the derived cells are the reprs of the row's properties
+            assert rec["I"] == repr(row.i)
+            assert rec["I4"] == repr(row.i4)
+            assert rec["two_I_over_n"] == repr(row.two_i_over_n)
+            rows.append(row)
         recomputed = {(s.model, s.n, s.policy): s for s in summarize(rows)}
         for rec in read_csv(tmp_path / "r.summary.csv"):
             s = recomputed[(rec["model"], int(rec["n"]), rec["policy"])]
@@ -243,6 +295,43 @@ class TestRejectedBeforeWork:
         err = capsys.readouterr().err
         assert "is odd" in err and "even" in err
         assert "allow_odd" not in err
+
+
+    @pytest.mark.parametrize("case", [
+        "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",
+    ])
+    def test_usage_error_exits_2_before_work(self, tmp_path, capsys, no_work, case):
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\n")
+        out = str(tmp_path / "x.csv")
+        argv = {
+            "n-word": ["simulate", "--model", "er", "--n", "abc", "--p", "0.2", "--out", out],
+            "n-range-word": ["simulate", "--model", "er", "--n", "1:x:2", "--p", "0.2",
+                             "--out", out],
+            "n-sweep-word": ["real", "--edges", str(edges), "--n-sweep", "abc", "--out", out],
+            "real-b": ["real", "--edges", str(edges), "--sample", "2", "--b", "0.3", "--out", out],
+            "real-reps": ["real", "--edges", str(edges), "--sample", "2", "--reps", "0",
+                          "--out", out],
+            "assign-b": ["assign", "--edges", str(edges), "--b", "0.3", "--out", out],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [edges]
+
+    def test_unrunnable_sparse_cell_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
+        # log(n)/(c n) exceeds 1 at n = 2, the second cell; the first must not run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate started before every cell was resolved")
+
+        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        monkeypatch.setattr(graph, "gen_er", forbidden)
+        rc = main([
+            "simulate", "--model", "er", "--n", "1200", "--n", "2",
+            "--sparse-log-density", "0.1", "--reps", "40", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracleCmd:

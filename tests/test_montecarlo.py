@@ -21,6 +21,7 @@ from netrand import (
     sparse_edge_probability,
     summarize,
 )
+from netrand import graph, montecarlo
 from netrand.montecarlo import replicate_streams
 
 
@@ -107,14 +108,13 @@ class TestSpecValidation:
             ExperimentSpec(model="sbm", n_values=(10,), p_in=0.3)
         with pytest.raises(ParameterError):
             ExperimentSpec(model="goe", n_values=(10,))
+        # a real sweep's source is checked when its cells are resolved, before any work
         with pytest.raises(ParameterError):
-            ExperimentSpec(model="real", n_values=(10,))
+            run_experiment(ExperimentSpec(model="real", n_values=(10,)))
 
     def test_odd_sizes_gated(self):
         with pytest.raises(ParameterError):
             ExperimentSpec(model="er", n_values=(11,), p=0.2)
-        spec = ExperimentSpec(model="er", n_values=(11,), p=0.2, allow_odd=True)
-        assert spec.n_values == (11,)
 
     def test_reps_positive(self):
         with pytest.raises(ParameterError):
@@ -122,6 +122,23 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("model", ["er", "real"])
+    def test_unrunnable_cell_fails_before_any_replicate(self, monkeypatch, model):
+        # only the second cell cannot run: p = log(2)/(0.1 * 2) > 1, or 100 > 60 source nodes
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate started before every cell was resolved")
+
+        source = gen_er(ErParams(60, 0.2), seed=1)
+        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        monkeypatch.setattr(graph, "gen_er", forbidden)
+        monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
+        spec = {
+            "er": ExperimentSpec(model="er", n_values=(40, 2), sparse_log_density=0.1),
+            "real": ExperimentSpec(model="real", n_values=(20, 100), sample_source=source),
+        }[model]
+        with pytest.raises(ParameterError):
+            run_experiment(spec)
+
     def test_deterministic_rerun(self):
         spec = ExperimentSpec(model="er", n_values=(20,), p=0.3, reps=3, seed=5)
         a = run_experiment(spec)

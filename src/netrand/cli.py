@@ -178,7 +178,7 @@ def cmd_assign(args) -> int:
     if args.order == "random":
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
     res = run_design(g, cfg)
-    i_by_pair = res.i_trajectory
+    i_by_pair = np.sqrt(res.i2_trajectory.astype(np.float64))
     last_pair = len(i_by_pair) - 1
     rows = (
         AssignRow(

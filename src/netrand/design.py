@@ -189,10 +189,6 @@ class DesignResult:
     i2_trajectory: np.ndarray
     final_i2: int | float
 
-    @property
-    def i_trajectory(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.i2_trajectory, dtype=np.float64))
-
 
 def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
     """Run the sequential pairwise design over subjects in index order.
@@ -253,7 +249,11 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
     the same draws it would in :func:`run_design` when fed column r of the
     per-step uniform blocks (property-tested against the scalar engine).
     Reads the graph through a :class:`RevealedView` revealed pair by pair,
-    as :func:`run_design` does.
+    as :func:`run_design` does, but touches only the new pair's prefix
+    neighbours N (:meth:`RevealedView.pair_neighbours`): S and the signs are
+    kept subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]``
+    are row gathers.  The candidates are ``c + d`` (pair gets (0,1)) and
+    ``c - d`` (pair gets (1,0)), so the coin is decided by the sign of d.
     Returns int64 for binary graphs, float64 for weighted ones.  The odd-n
     convention applies: a trailing unpaired subject never changes the value.
     """
@@ -264,45 +264,34 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
         raise ParameterError("reps must be at least 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    b = cfg.effective_b
+    bias = cfg.effective_b - 0.5
     n2 = n - (n % 2)
-    pairs = n2 // 2
     view = RevealedView(g)
-    view.reveal_to(2)
-    first = view.pair_rows(0)
-    d = float(first[0, 0])
-    a12 = float(first[0, 1])
-
-    s = np.zeros((reps, n2), dtype=np.float64)
-    tau = np.zeros((reps, n2), dtype=np.float64)
-    tau0 = np.where(rng.random(reps) < 0.5, 1.0, -1.0)
-    tau[:, 0] = tau0
-    tau[:, 1] = -tau0
-    s[:, 0] = tau0 * (d - a12)
-    s[:, 1] = -tau0 * (d - a12)
-    i2 = np.full(reps, 2.0 * (d - a12) ** 2)
-
-    for m in range(1, pairs):
-        length = 2 * m
+    # Subject-major: row j holds subject j's entry of S and its sign in every replicate.
+    s = np.zeros((n2, reps), dtype=np.float64)
+    tau = np.zeros((n2, reps), dtype=np.float64)
+    i2 = np.zeros(reps, dtype=np.float64)
+    pair_signs = np.array([1.0, -1.0])
+    # The first pair has no prefix neighbours, so d = 0 and its coin is the fair one.
+    for length in range(0, n2, 2):
         view.reveal_to(length + 2)
-        rows = view.pair_rows(length)
-        block = rows[:, :length].astype(np.float64)
-        e = float(rows[0, length]) - float(rows[0, length + 1])
-        z = tau[:, :length] @ block.T
+        cols, vals = view.pair_neighbours(length)
+        diag, corner = view.pair_rows(length)[0, length:]
+        e = float(diag) - float(corner)
+        block = vals.astype(np.float64)
         y = block[1] - block[0]
-        sy = s[:, :length] @ y
-        base = i2 + float(y @ y)
-        i2_01 = base - 2.0 * sy + (z[:, 0] + e) ** 2 + (z[:, 1] - e) ** 2
-        i2_10 = base + 2.0 * sy + (z[:, 0] - e) ** 2 + (z[:, 1] + e) ** 2
-        p01 = np.where(i2_01 < i2_10, b, np.where(i2_01 > i2_10, 1.0 - b, 0.5))
-        pick_01 = rng.random(reps) < p01
-        sgn = np.where(pick_01, 1.0, -1.0)
-        s[:, :length] -= sgn[:, None] * y
-        s[:, length] = z[:, 0] + sgn * e
-        s[:, length + 1] = z[:, 1] - sgn * e
-        tau[:, length] = sgn
-        tau[:, length + 1] = -sgn
-        i2 = np.where(pick_01, i2_01, i2_10)
+        z = block @ tau[cols]
+        s_n = s[cols]
+        c = i2 + (float(y @ y) + 2.0 * e * e) + z[0] * z[0] + z[1] * z[1]
+        d = 2.0 * e * (z[0] - z[1]) - 2.0 * (y @ s_n)
+        # P(pair gets (0,1)) is b if d < 0, 1 - b if d > 0 and 1/2 on a tie, exactly.
+        sgn = np.where(rng.random(reps) < 0.5 - bias * np.sign(d), 1.0, -1.0)
+        i2 = c + sgn * d
+        s_n -= np.multiply.outer(y, sgn)
+        s[cols] = s_n
+        tau_new = np.multiply.outer(pair_signs, sgn)
+        tau[length:length + 2] = tau_new
+        s[length:length + 2] = z + e * tau_new
 
     if g.weighted:
         return i2

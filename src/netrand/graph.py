@@ -95,7 +95,7 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
-    ``pair_rows`` and ``matvec`` are the only reads.
+    ``pair_rows``, ``pair_neighbours`` and ``matvec`` are the only reads.
     """
 
     def __init__(self, graph: Graph, revealed: int = 0):
@@ -125,6 +125,17 @@ class RevealedView:
                 f"pair rows at {length} outside revealed prefix {self._revealed}"
             )
         return self.graph.matrix[length:length + 2, :length + 2]
+
+    def pair_neighbours(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix neighbours of the newest pair: columns N and the 2 x |N| entries there.
+
+        N is the sorted set of columns in [0, length) where row ``length`` or
+        ``length + 1`` is nonzero; every other prefix column of
+        :meth:`pair_rows` is zero in both rows.
+        """
+        rows = self.pair_rows(length)[:, :length]
+        cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
+        return cols, rows[:, cols]
 
     def matvec(self, v) -> np.ndarray:
         """Revealed submatrix times ``v`` in float64, converted in row chunks."""

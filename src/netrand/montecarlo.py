@@ -237,7 +237,7 @@ def summarize(rows) -> tuple[MomentSummary, ...]:
         mean = float(metric.mean())
         sd = float(metric.std(ddof=1)) if reps > 1 else 0.0
         half = _Z95 * sd / math.sqrt(reps) if reps > 1 else 0.0
-        q1, q3 = (np.percentile(metric, [25.0, 75.0]) if reps else (mean, mean))
+        q1, q3 = np.percentile(metric, [25.0, 75.0])
         ws = [r.w for r in group if r.w is not None]
         w_mean = float(np.mean(ws)) if ws else None
         w_sd = float(np.std(ws, ddof=1)) if len(ws) > 1 else (0.0 if ws else None)

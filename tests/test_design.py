@@ -38,6 +38,35 @@ class Replay:
         return self.seq[self.used - 1]
 
 
+class Recorder:
+    """Seeded uniforms that keep every block handed to the batched engine."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = []
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        self.blocks.append(np.atleast_1d(u))
+        return u
+
+
+def batched_and_scalar(g, cfg, reps, rec):
+    """``run_design_many`` finals, and ``run_design`` fed column r of its draws per replicate."""
+    first = len(rec.blocks)
+    finals = run_design_many(g, cfg, reps, rng=rec)
+    draws = np.stack(rec.blocks[first:])
+    assert draws.shape == (g.n // 2, reps)
+    # the scalar loop also draws a fair coin for an odd trailing subject
+    tail = [0.5] * (g.n % 2)
+    scalar = []
+    for r in range(reps):
+        replay = Replay([*draws[:, r], *tail])
+        scalar.append(run_design(g, cfg, rng=replay).final_i2)
+        assert replay.used == len(replay.seq)
+    return finals, scalar
+
+
 def complete_graph(n):
     return Graph(np.ones((n, n), dtype=np.uint8), "binary")
 
@@ -345,15 +374,7 @@ class TestDeterminismAtBOne:
 
 class TestBatchRunner:
     def test_matches_scalar_engine_draw_for_draw(self):
-        rng = np.random.default_rng(42)
-        recorded = []
-
-        class Rec:
-            def random(self, size=None):
-                u = rng.random(size)
-                recorded.append(np.atleast_1d(u))
-                return u
-
+        rec = Recorder(42)
         for seed, weighted in ((0, False), (1, True), (2, False)):
             n = 12
             g = (
@@ -361,16 +382,11 @@ class TestBatchRunner:
                 if weighted
                 else gen_er(ErParams(n, 0.4), seed=seed)
             )
-            cfg = DesignConfig(ADAPTIVE, b=0.8)
-            recorded.clear()
-            finals = run_design_many(g, cfg, 40, rng=Rec())
-            draws = np.stack(recorded)
-            for r in range(40):
-                res = run_design(g, cfg, rng=Replay(draws[:, r]))
-                if weighted:
-                    assert res.final_i2 == pytest.approx(finals[r], rel=1e-12)
-                else:
-                    assert int(res.final_i2) == int(finals[r])
+            finals, scalar = batched_and_scalar(g, DesignConfig(ADAPTIVE, b=0.8), 40, rec)
+            if weighted:
+                assert finals.tolist() == pytest.approx(scalar, rel=1e-12)
+            else:
+                assert finals.tolist() == scalar
 
     def test_distribution_matches_scalar(self):
         g = gen_er(ErParams(16, 0.5), seed=13)
@@ -382,3 +398,29 @@ class TestBatchRunner:
         )
         se = math.hypot(batch.std(ddof=1) / math.sqrt(len(batch)), scalar.std(ddof=1) / math.sqrt(len(scalar)))
         assert abs(batch.mean() - scalar.mean()) < 4 * se
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.booleans(),
+    st.sampled_from([0.001, 0.3, 0.9, "complete"]),
+    st.sampled_from([ADAPTIVE, RANDOM]),
+    st.integers(0, 100_000),
+)
+def test_batched_equals_scalar_draw_for_draw(pairs, odd, p, policy, seed):
+    # p = 0.001 leaves most pairs without prefix neighbours; the complete graph ties every pair
+    n = 2 * pairs + int(odd)
+    g = complete_graph(n) if p == "complete" else gen_er(ErParams(n, p), seed=seed)
+    finals, scalar = batched_and_scalar(g, DesignConfig(policy, b=0.85), 8, Recorder(seed + 1))
+    assert finals.dtype == np.int64
+    assert finals.tolist() == scalar
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 24), st.booleans(), st.sampled_from([ADAPTIVE, RANDOM]), st.integers(0, 100_000))
+def test_batched_equals_scalar_weighted(pairs, odd, policy, seed):
+    g = gen_goe(GoeParams(2 * pairs + int(odd), 0.4), seed=seed)
+    finals, scalar = batched_and_scalar(g, DesignConfig(policy, b=0.85), 8, Recorder(seed + 1))
+    assert finals.dtype == np.float64
+    assert finals.tolist() == pytest.approx(scalar, rel=1e-12)

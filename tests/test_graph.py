@@ -261,6 +261,41 @@ class TestRevealedView:
         view = RevealedView(g, revealed=6)
         assert np.allclose(view.matvec(v), g.matrix[:6, :6] @ v)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_er(ErParams(41, 0.3), seed=4),
+            # weighted, with zero off-diagonal entries where the ER mask has none
+            Graph(gen_goe(GoeParams(41, 0.5), seed=5).matrix * gen_er(ErParams(41, 0.3), seed=6).matrix,
+                  "weighted"),
+        ],
+        ids=["binary", "weighted"],
+    )
+    def test_pair_neighbours_are_nonzero_pair_row_columns(self, g):
+        view = RevealedView(g, revealed=g.n)
+        for length in range(g.n - 1):
+            cols, vals = view.pair_neighbours(length)
+            rows = view.pair_rows(length)[:, :length]
+            want = np.flatnonzero((rows != 0).any(axis=0))
+            assert cols.dtype.kind == "i" and np.array_equal(cols, want)
+            assert vals.dtype == g.matrix.dtype and np.array_equal(vals, rows[:, want])
+            assert not np.delete(rows, cols, axis=1).any()
+
+    def test_pair_neighbours_empty_without_links(self):
+        view = RevealedView(identity_graph(8), revealed=8)
+        for length in range(7):
+            cols, vals = view.pair_neighbours(length)
+            assert cols.shape == (0,) and vals.shape == (2, 0)
+
+    def test_pair_neighbours_prefix_enforced(self):
+        g = complete_graph(10)
+        view = RevealedView(g, revealed=4)
+        cols, vals = view.pair_neighbours(2)
+        assert np.array_equal(cols, [0, 1]) and np.array_equal(vals, g.matrix[2:4, :2])
+        for length in (3, 4, 8, -1):
+            with pytest.raises(ContractError):
+                view.pair_neighbours(length)
+
     def test_cannot_unreveal(self):
         view = RevealedView(gen_er(ErParams(6, 0.5), seed=0), revealed=4)
         with pytest.raises(ContractError):

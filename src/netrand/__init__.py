@@ -8,8 +8,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .graph import (
-    BINARY,
-    WEIGHTED,
     ErParams,
     GoeParams,
     Graph,
@@ -48,7 +46,7 @@ from .montecarlo import (
     sparse_edge_probability,
     summarize,
 )
-from .oracle import ExactExpectation, OracleResult, UbqpCheck, brute_force_min, exact_policy_expectation, ubqp_crosscheck
+from .oracle import ExactExpectation, OracleResult, brute_force_min, exact_policy_expectation
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -86,22 +86,6 @@ class PairIncrement:
     diag: float = 1.0
 
 
-def assign_first_pair(view: RevealedView, rng) -> DesignState:
-    """Assign opposite treatments to the first two subjects by a fair coin."""
-    rows = view.pair_rows(0)
-    n2 = view.graph.n - (view.graph.n % 2)
-    d = float(rows[0, 0])
-    a = float(rows[0, 1])
-    tau0 = 1.0 if rng.random() < 0.5 else -1.0
-    s_buf = np.zeros(n2, dtype=np.float64)
-    tau_buf = np.zeros(n2, dtype=np.float64)
-    s_buf[0] = tau0 * (d - a)
-    s_buf[1] = -tau0 * (d - a)
-    tau_buf[0] = tau0
-    tau_buf[1] = -tau0
-    return DesignState(pairs=1, s_buf=s_buf, tau_buf=tau_buf, i2=2.0 * (d - a) ** 2)
-
-
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
     """Build the increment for the next pair from the revealed prefix."""
     length = 2 * state.pairs
@@ -195,8 +179,7 @@ def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
 
     Only the revealed principal submatrix is ever read while assigning.  An
     odd trailing subject is assigned by a fair coin.  Randomness budget: one
-    uniform for the first pair, one per subsequent pair, one for an odd
-    trailing subject, in that order.
+    uniform per pair, then one for an odd trailing subject.
     """
     n = g.n
     if n < 2:
@@ -204,12 +187,11 @@ def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     view = RevealedView(g)
-    view.reveal_to(2)
-    state = assign_first_pair(view, rng)
     pairs = n // 2
+    state = DesignState(0, np.zeros(2 * pairs), np.zeros(2 * pairs), 0.0)
     traj = np.empty(pairs, dtype=np.float64)
-    traj[0] = state.i2
-    for m in range(1, pairs):
+    # The first pair has an empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
+    for m in range(pairs):
         view.reveal_to(2 * m + 2)
         inc = increment_from_view(view, state)
         step(state, inc, cfg, rng)

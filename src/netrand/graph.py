@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import EdgeListParseError, ContractError, ParameterError, UnsupportedKindError
 
-BINARY = "binary"
-WEIGHTED = "weighted"
-
 # Dense storage caps ingestion at ~1 GiB; larger-than-memory graphs are out of scope.
 _MAX_DENSE_NODES = 32768
 # Row-block size of the float mat-vec; fixed, so its sums and GOE outcomes stay reproducible.
@@ -32,37 +29,35 @@ _TILE = 512
 class Graph:
     """Symmetric adjacency matrix with a uniform self-loop weight.
 
-    Binary graphs have entries in {0, 1} and unit diagonal.  Weighted graphs
-    have real off-diagonal weights and a constant diagonal (1.0 as generated;
-    scaled copies carry the scaled self-weight).  ``labels`` optionally keeps
-    the original node identifiers of ingested data.
+    The dtype is the kind.  Binary graphs are uint8 with entries in {0, 1}
+    and unit diagonal.  Weighted graphs are float64 with real off-diagonal
+    weights and a constant diagonal (1.0 as generated; scaled copies carry
+    the scaled self-weight).  ``labels`` optionally keeps the original node
+    identifiers of ingested data.
     """
 
     matrix: np.ndarray
-    kind: str
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"adjacency must be square, got shape {m.shape}")
-        if self.kind == BINARY:
-            if m.dtype != np.uint8:
-                raise ParameterError("binary adjacency must be uint8")
+        if m.dtype == np.uint8:
             if m.size and m.max() > 1:
                 raise ParameterError("binary adjacency entries must be 0 or 1")
             if not (np.diagonal(m) == 1).all():
                 raise ParameterError("binary adjacency must have unit diagonal")
-        elif self.kind == WEIGHTED:
-            if m.dtype != np.float64:
-                raise ParameterError("weighted adjacency must be float64")
+        elif m.dtype == np.float64:
             if not np.isfinite(m).all():
                 raise ParameterError("weighted adjacency must be finite")
             diag = np.diagonal(m)
             if m.shape[0] and (diag != diag[0]).any():
                 raise ParameterError("weighted adjacency must have a constant diagonal")
         else:
-            raise ParameterError(f"unknown graph kind {self.kind!r}")
+            raise ParameterError(
+                f"adjacency dtype must be uint8 (binary) or float64 (weighted), got {m.dtype}"
+            )
         if not _is_symmetric(m):
             raise ParameterError("adjacency must be symmetric")
         if self.labels is not None and len(self.labels) != m.shape[0]:
@@ -75,7 +70,7 @@ class Graph:
 
     @property
     def weighted(self) -> bool:
-        return self.kind == WEIGHTED
+        return self.matrix.dtype == np.float64
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
@@ -103,10 +98,6 @@ class RevealedView:
             raise ParameterError("revealed prefix out of range")
         self.graph = graph
         self._revealed = revealed
-
-    @property
-    def revealed(self) -> int:
-        return self._revealed
 
     def reveal_to(self, k: int) -> None:
         if k < self._revealed or k > self.graph.n:
@@ -217,7 +208,7 @@ def gen_er(params: ErParams, seed) -> Graph:
     """Erdos-Renyi adjacency: off-diagonal edges iid Bernoulli(p), unit diagonal."""
     n, p = params.n, params.p
     rng = np.random.default_rng(seed)
-    return Graph(_symmetric(n, np.uint8, lambda i: rng.random(n - i - 1) < p, 1), BINARY)
+    return Graph(_symmetric(n, np.uint8, lambda i: rng.random(n - i - 1) < p, 1))
 
 
 def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
@@ -239,7 +230,7 @@ def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
         rates = np.where(labels[i + 1:] == labels[i], params.p_in, params.p_out)
         return rng.random(n - i - 1) < rates
 
-    return Graph(_symmetric(n, np.uint8, upper_row, 1), BINARY)
+    return Graph(_symmetric(n, np.uint8, upper_row, 1))
 
 
 def gen_goe(params: GoeParams, seed) -> Graph:
@@ -247,8 +238,7 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     n = params.n
     sigma = float(np.sqrt(params.sigma2))
     rng = np.random.default_rng(seed)
-    a = _symmetric(n, np.float64, lambda i: rng.normal(0.0, sigma, n - i - 1), 1.0)
-    return Graph(a, WEIGHTED)
+    return Graph(_symmetric(n, np.float64, lambda i: rng.normal(0.0, sigma, n - i - 1), 1.0))
 
 
 def scale_weights(g: Graph, c: float) -> Graph:
@@ -257,7 +247,7 @@ def scale_weights(g: Graph, c: float) -> Graph:
         raise UnsupportedKindError("only weighted graphs can be scaled")
     if not c > 0.0:
         raise ParameterError("scale factor must be positive")
-    return Graph(g.matrix * float(c), WEIGHTED, labels=g.labels)
+    return Graph(g.matrix * float(c), labels=g.labels)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -302,8 +292,7 @@ def from_edge_list(source) -> Graph:
         a[e[:, 0], e[:, 1]] = 1
         a[e[:, 1], e[:, 0]] = 1
     np.fill_diagonal(a, 1)
-    labels = tuple(index)
-    return Graph(a, BINARY, labels=labels)
+    return Graph(a, labels=tuple(index))
 
 
 def write_edge_list(g: Graph, sink, header: str | None = None) -> None:
@@ -342,7 +331,7 @@ def induced_subgraph_sample(g: Graph, k: int, seed) -> Graph:
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[i] for i in idx.tolist())
-    return Graph(sub, g.kind, labels=labels)
+    return Graph(sub, labels=labels)
 
 
 def density(g: Graph) -> float:

@@ -103,55 +103,3 @@ def exact_policy_expectation(g: Graph, cfg: DesignConfig) -> ExactExpectation:
         return total
 
     return ExactExpectation(expected_i2=walk([], 1.0), has_ties=ties_seen[0])
-
-
-@dataclass(frozen=True)
-class UbqpCheck:
-    """The squared imbalance written three ways: direct, quadratic form, penalized."""
-
-    i2_direct: object
-    quadratic_form: object
-    penalized_form: object
-
-
-def ubqp_crosscheck(g: Graph, tau, lam: float) -> UbqpCheck:
-    """Cross-check the offline quadratic-programming form of the objective.
-
-    Verifies ||A tau||^2 == tau' (A^2) tau, that the balance penalty
-    lam * (1' tau)^2 vanishes exactly on balanced assignments, and that for
-    binary graphs A^2 counts common neighbors (self-loops included).
-    """
-    n = g.n
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (n,):
-        raise ParameterError("sign vector must cover all subjects")
-    mat = g.matrix.astype(np.float64)
-    av = mat @ tau
-    direct = float(av @ av)
-    h = mat @ mat
-    quad = float(tau @ (h @ tau))
-    ones_tau = float(tau.sum())
-    penalized = quad + lam * ones_tau**2
-    if not g.weighted:
-        direct = int(round(direct))
-        quad = int(round(quad))
-        penalized = int(round(penalized))
-        if direct != quad:
-            raise AssertionError("quadratic form disagrees with the direct norm")
-        if ones_tau == 0.0 and penalized != quad:
-            raise AssertionError("penalty must vanish on balanced assignments")
-        u = g.matrix.astype(bool)
-        if n <= 64:
-            pairs_to_check = [(i, j) for i in range(n) for j in range(n)]
-        else:
-            rng = np.random.default_rng(0)
-            pairs_to_check = [tuple(rng.integers(0, n, 2)) for _ in range(256)]
-        for i, j in pairs_to_check:
-            if int(h[i, j]) != int(np.count_nonzero(u[i] & u[j])):
-                raise AssertionError("A^2 entry is not the common-neighbor count")
-    else:
-        if not np.isclose(direct, quad, rtol=1e-9, atol=1e-9):
-            raise AssertionError("quadratic form disagrees with the direct norm")
-        if ones_tau == 0.0 and not np.isclose(penalized, quad, rtol=1e-9, atol=1e-9):
-            raise AssertionError("penalty must vanish on balanced assignments")
-    return UbqpCheck(i2_direct=direct, quadratic_form=quad, penalized_form=penalized)

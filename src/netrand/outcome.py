@@ -33,13 +33,12 @@ class OutcomeParams:
 class TrialOutcome:
     """Outcome vector and the estimate of mu0 - mu1.
 
-    For odd n the estimate uses the first ``paired_n`` = n - 1 subjects,
-    since the estimator is defined over complete pairs.
+    For odd n the estimate uses the first n - 1 subjects, since the
+    estimator is defined over complete pairs.
     """
 
     x: np.ndarray
     w: float
-    paired_n: int
 
 
 def _check_sign_vector(g: Graph, tau) -> np.ndarray:
@@ -64,7 +63,7 @@ def simulate_outcomes(g: Graph, tau, params: OutcomeParams, rng) -> TrialOutcome
     x = effects + RevealedView(g, n).matvec(z) + eps
     paired_n = n - (n % 2)
     w = 2.0 / paired_n * float(tau[:paired_n] @ x[:paired_n])
-    return TrialOutcome(x=x, w=w, paired_n=paired_n)
+    return TrialOutcome(x=x, w=w)
 
 
 def analytic_variance(g: Graph, tau, params: OutcomeParams) -> float:

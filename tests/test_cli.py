@@ -23,6 +23,7 @@ def write_er_fixture(path, n=60, p=0.15, seed=3):
 # sha256 of small CLI outputs, recorded with numpy 2.4.6.  Only binary graphs and
 # no W column: every cell comes from exact integer arithmetic and short fixed-order
 # float reductions, not BLAS float sums, so these bytes hold while the streams do.
+# "stdout" names the printed report of a command that writes no file.
 GOLDEN = {
     "simulate-er": (
         ["simulate", "--model", "er", "--n", "20", "--n", "30", "--p", "0.3",
@@ -55,17 +56,26 @@ GOLDEN = {
         ["assign", "--edges", "EDGES", "--order", "random", "--b", "0.9", "--seed", "15"],
         {"out.csv": "9c4a2706f17ae7bfd05c1152db7cad67eeb3a15cc57002d985e015ba93a7177c"},
     ),
+    "oracle": (
+        ["oracle", "--n", "10", "--p", "0.4", "--mc-reps", "2000"],
+        {"stdout": "f125cdfe8c77bf4ba907d174880f833f29304739b33aa9dbf377d5a8e9c9fa1c"},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output_bytes(tmp_path, name):
+def test_golden_output_bytes(tmp_path, capsys, name):
     argv, digests = GOLDEN[name]
     edges = tmp_path / "net.txt"
     write_er_fixture(edges)
     argv = [str(edges) if a == "EDGES" else a for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    files = [f for f in digests if f != "stdout"]
+    if files:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
+    if "stdout" in digests:
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == digests
 
 

@@ -22,7 +22,7 @@ from netrand import (
     run_design_many,
     scale_weights,
 )
-from netrand.design import assign_first_pair, candidate_imbalances, increment_from_view, step
+from netrand.design import DesignState, candidate_imbalances, increment_from_view, step
 
 
 class Replay:
@@ -68,23 +68,23 @@ def batched_and_scalar(g, cfg, reps, rec):
 
 
 def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8), "binary")
+    return Graph(np.ones((n, n), dtype=np.uint8))
 
 
 def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8), "binary")
+    return Graph(np.eye(n, dtype=np.uint8))
 
 
 def pair_graph(a12):
     m = np.eye(2, dtype=np.uint8)
     m[0, 1] = m[1, 0] = a12
-    return Graph(m, "binary")
+    return Graph(m)
 
 
 def weighted_pair_graph(w):
     m = np.eye(2, dtype=np.float64)
     m[0, 1] = m[1, 0] = w
-    return Graph(m, "weighted")
+    return Graph(m)
 
 
 def revealed(g, k):
@@ -93,40 +93,59 @@ def revealed(g, k):
     return view
 
 
+def empty_state(n):
+    """The all-zero state ``run_design`` starts from: no pair assigned yet."""
+    n2 = n - n % 2
+    return DesignState(0, np.zeros(n2), np.zeros(n2), 0.0)
+
+
+def first_step(g, rng, cfg=DesignConfig(), view=None):
+    """State after the first ``step``: pair (0, 1) decided over the empty prefix."""
+    st_ = empty_state(g.n)
+    inc = increment_from_view(revealed(g, 2) if view is None else view, st_)
+    return step(st_, inc, cfg, rng)
+
+
 class TestFirstPair:
     def test_connected_pair_cancels(self):
-        st_ = assign_first_pair(revealed(pair_graph(1), 2), Replay([0.3]))
+        st_ = first_step(pair_graph(1), Replay([0.3]))
         assert st_.i2 == 0
 
     def test_disconnected_pair(self):
-        st_ = assign_first_pair(revealed(pair_graph(0), 2), Replay([0.3]))
+        st_ = first_step(pair_graph(0), Replay([0.3]))
         assert st_.i2 == 2
 
     def test_weighted_pair(self):
         w = 0.37
-        st_ = assign_first_pair(revealed(weighted_pair_graph(w), 2), Replay([0.9]))
+        st_ = first_step(weighted_pair_graph(w), Replay([0.9]))
         assert st_.i2 == pytest.approx(2 * (1 - w) ** 2)
 
     def test_fair_coin_on_orientation(self):
-        lo = assign_first_pair(revealed(pair_graph(0), 2), Replay([0.49]))
-        hi = assign_first_pair(revealed(pair_graph(0), 2), Replay([0.51]))
+        # the empty prefix makes both candidates 2 e^2, so even b = 1 leaves a fair coin
+        g = pair_graph(0)
+        st_ = empty_state(2)
+        assert candidate_imbalances(st_, increment_from_view(revealed(g, 2), st_)) == (2.0, 2.0)
+        cfg = DesignConfig(ADAPTIVE, b=1.0)
+        lo = first_step(g, Replay([0.49]), cfg)
+        hi = first_step(g, Replay([0.51]), cfg)
         assert lo.tau[0] == 1.0 and hi.tau[0] == -1.0
 
     def test_requires_revealed_prefix(self):
+        g = pair_graph(1)
         with pytest.raises(ContractError):
-            assign_first_pair(RevealedView(pair_graph(1)), Replay([0.1]))
+            first_step(g, Replay([0.1]), view=RevealedView(g))
 
 
 class TestCandidates:
     def test_complete_graph_ties_at_zero(self):
         g = complete_graph(6)
-        st_ = assign_first_pair(revealed(g, 2), Replay([0.1]))
+        st_ = first_step(g, Replay([0.1]))
         inc = increment_from_view(revealed(g, 4), st_)
         assert candidate_imbalances(st_, inc) == (0.0, 0.0)
 
     def test_identity_graph_ties(self):
         g = identity_graph(6)
-        st_ = assign_first_pair(revealed(g, 2), Replay([0.1]))
+        st_ = first_step(g, Replay([0.1]))
         inc = increment_from_view(revealed(g, 4), st_)
         i2_01, i2_10 = candidate_imbalances(st_, inc)
         assert i2_01 == i2_10 == 2 * st_.pairs + 2
@@ -135,7 +154,7 @@ class TestCandidates:
         for seed in range(25):
             g = gen_er(ErParams(6, 0.5), seed=seed)
             rng = np.random.default_rng(seed)
-            st_ = assign_first_pair(revealed(g, 2), rng)
+            st_ = first_step(g, rng)
             view = revealed(g, 4)
             inc = increment_from_view(view, st_)
             i2_01, i2_10 = candidate_imbalances(st_, inc)
@@ -146,7 +165,7 @@ class TestCandidates:
 
     def test_dimension_mismatch_rejected(self):
         g = gen_er(ErParams(8, 0.5), seed=0)
-        st_ = assign_first_pair(revealed(g, 2), Replay([0.1]))
+        st_ = first_step(g, Replay([0.1]))
         bad = design.PairIncrement(y=np.zeros(4), z1=0.0, z2=0.0, corner=0.0)
         with pytest.raises(ContractError):
             candidate_imbalances(st_, bad)
@@ -159,10 +178,9 @@ def test_increment_identity_z2_minus_z1(pairs, seed):
     g = gen_er(ErParams(2 * pairs + 2, 0.3), seed=seed)
     rng = np.random.default_rng(seed)
     view = RevealedView(g)
-    view.reveal_to(2)
-    st_ = assign_first_pair(view, rng)
+    st_ = empty_state(g.n)
     cfg = DesignConfig(ADAPTIVE, b=0.8)
-    for m in range(1, pairs + 1):
+    for m in range(pairs + 1):
         view.reveal_to(2 * m + 2)
         inc = increment_from_view(view, st_)
         assert inc.z2 - inc.z1 == pytest.approx(float(st_.tau @ inc.y))
@@ -174,7 +192,7 @@ class TestStep:
         for seed in range(20):
             g = gen_er(ErParams(10, 0.4), seed=seed)
             rng = np.random.default_rng(seed)
-            st_ = assign_first_pair(revealed(g, 2), rng)
+            st_ = first_step(g, rng)
             view = revealed(g, 4)
             inc = increment_from_view(view, st_)
             i2_01, i2_10 = candidate_imbalances(st_, inc)
@@ -242,7 +260,7 @@ class TestRunDesign:
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ParameterError):
-            run_design(Graph(np.ones((1, 1), dtype=np.uint8), "binary"), DesignConfig())
+            run_design(Graph(np.ones((1, 1), dtype=np.uint8)), DesignConfig())
 
     @pytest.mark.parametrize(
         "engine",
@@ -269,7 +287,7 @@ class TestRecompute:
     def test_hand_example(self):
         m = np.eye(4, dtype=np.uint8)
         m[0, 1] = m[1, 0] = 1
-        g = Graph(m, "binary")
+        g = Graph(m)
         tau = [1.0, -1.0, 1.0, -1.0]
         assert imbalance_recompute(g, tau, 4) == 2
         s = g.matrix.astype(float) @ np.asarray(tau)
@@ -312,10 +330,9 @@ def test_maintained_s_matches_dense_recompute(pairs, seed):
     g = gen_er(ErParams(2 * pairs, 0.4), seed=seed)
     rng = np.random.default_rng(seed)
     view = RevealedView(g)
-    view.reveal_to(2)
-    st_ = assign_first_pair(view, rng)
+    st_ = empty_state(g.n)
     cfg = DesignConfig(ADAPTIVE, b=0.9)
-    for m in range(1, pairs):
+    for m in range(pairs):
         view.reveal_to(2 * m + 2)
         step(st_, increment_from_view(view, st_), cfg, rng)
         k = 2 * st_.pairs

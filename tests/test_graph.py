@@ -28,11 +28,11 @@ from netrand.graph import _TILE, _mirror_upper
 
 
 def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8), "binary")
+    return Graph(np.ones((n, n), dtype=np.uint8))
 
 
 def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8), "binary")
+    return Graph(np.eye(n, dtype=np.uint8))
 
 
 def assert_valid_binary(g):
@@ -206,7 +206,7 @@ class TestInducedSample:
             g = gen_er(ErParams(n, 0.1), seed=2)
         else:
             g = gen_goe(GoeParams(n, 0.5), seed=2)
-        g = Graph(g.matrix, kind, labels=tuple(f"v{i}" for i in range(n)))
+        g = Graph(g.matrix, labels=tuple(f"v{i}" for i in range(n)))
         s = induced_subgraph_sample(g, k, seed=seed)
         idx = np.random.default_rng(seed).permutation(n)[:k]
         assert s.matrix.dtype == g.matrix.dtype
@@ -227,6 +227,11 @@ class TestDensity:
 
     def test_identity_only(self):
         assert density(identity_graph(8)) == 0.0
+
+    def test_square_diagonal_counts_degree_with_self_loop(self):
+        g = gen_er(ErParams(12, 0.5), seed=2)
+        a = g.matrix.astype(np.int64)
+        assert np.array_equal(np.diagonal(a @ a), a.sum(axis=1))
 
     def test_average_degree_relation(self):
         # average degree including the self loop is d*(n-1) + 1
@@ -266,8 +271,7 @@ class TestRevealedView:
         [
             gen_er(ErParams(41, 0.3), seed=4),
             # weighted, with zero off-diagonal entries where the ER mask has none
-            Graph(gen_goe(GoeParams(41, 0.5), seed=5).matrix * gen_er(ErParams(41, 0.3), seed=6).matrix,
-                  "weighted"),
+            Graph(gen_goe(GoeParams(41, 0.5), seed=5).matrix * gen_er(ErParams(41, 0.3), seed=6).matrix),
         ],
         ids=["binary", "weighted"],
     )
@@ -312,12 +316,29 @@ class TestGraphType:
         m = np.eye(3, dtype=np.uint8)
         m[0, 1] = 1
         with pytest.raises(ParameterError):
-            Graph(m, "binary")
+            Graph(m)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ParameterError, match=np.dtype(dtype).name):
+            Graph(np.eye(4, dtype=dtype))
+
+    def test_weighted_follows_dtype(self):
+        er = gen_er(ErParams(6, 0.5), seed=0)
+        goe = gen_goe(GoeParams(6, 0.3), seed=1)
+        binary = [er, gen_sbm(SbmParams(6, 0.5, 0.1), seed=2), from_edge_list(["a b", "b c"]),
+                  induced_subgraph_sample(er, 4, seed=3)]
+        weighted = [goe, induced_subgraph_sample(goe, 4, seed=3), scale_weights(goe, 2.0)]
+        assert [(g.matrix.dtype, g.weighted) for g in binary] == [(np.uint8, False)] * 4
+        assert [(g.matrix.dtype, g.weighted) for g in weighted] == [(np.float64, True)] * 3
 
     # n spans two full tiles and a partial third one
     TILED_N = 2 * _TILE + 3
 
-    @pytest.mark.parametrize("dtype, kind", [(np.uint8, "binary"), (np.float64, "weighted")])
+    @pytest.mark.parametrize("dtype", [
+        pytest.param(np.uint8, id="uint8-binary"),
+        pytest.param(np.float64, id="float64-weighted"),
+    ])
     @pytest.mark.parametrize("i, j", [
         (3, 100),                      # diagonal tile
         (10, 2 * _TILE - 5),           # full off-diagonal tile, far from the diagonal
@@ -325,20 +346,20 @@ class TestGraphType:
         (5, 2 * _TILE + 1),            # partial last tile column
         (2 * _TILE + 2, 2 * _TILE),    # partial last diagonal tile
     ])
-    def test_single_asymmetric_entry_rejected_in_every_tile(self, dtype, kind, i, j):
+    def test_single_asymmetric_entry_rejected_in_every_tile(self, dtype, i, j):
         m = np.eye(self.TILED_N, dtype=dtype)
         m[i, j] = 1
         with pytest.raises(ParameterError, match="symmetric"):
-            Graph(m, kind)
+            Graph(m)
         m[j, i] = 1
-        assert Graph(m, kind).n == self.TILED_N
+        assert Graph(m).n == self.TILED_N
 
     def test_tiny_weighted_asymmetry_rejected(self):
         m = np.eye(self.TILED_N)
         m[7, 2 * _TILE + 1] = 0.5
         m[2 * _TILE + 1, 7] = 0.5 + 1e-12
         with pytest.raises(ParameterError, match="symmetric"):
-            Graph(m, "weighted")
+            Graph(m)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_mirror_upper_matches_dense_mirror(self, dtype):

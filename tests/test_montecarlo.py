@@ -26,7 +26,7 @@ from netrand.montecarlo import replicate_streams
 
 
 def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8), "binary")
+    return Graph(np.ones((n, n), dtype=np.uint8))
 
 
 class TestRandomDesignClosedForm:

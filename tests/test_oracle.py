@@ -19,16 +19,15 @@ from netrand import (
     gen_goe,
     imbalance_recompute,
     run_design_many,
-    ubqp_crosscheck,
 )
 
 
 def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8), "binary")
+    return Graph(np.ones((n, n), dtype=np.uint8))
 
 
 def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8), "binary")
+    return Graph(np.eye(n, dtype=np.uint8))
 
 
 def balanced_assignments(n):
@@ -108,30 +107,3 @@ class TestExactExpectation:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             exact_policy_expectation(identity_graph(18), DesignConfig())
-
-
-class TestUbqpCrosscheck:
-    def test_balanced_assignment_all_equal(self):
-        g = gen_er(ErParams(10, 0.4), seed=1)
-        tau = np.resize([1.0, -1.0], 10)
-        for lam in (0.0, 1.0, 7.5):
-            chk = ubqp_crosscheck(g, tau, lam)
-            assert chk.i2_direct == chk.quadratic_form == chk.penalized_form
-
-    def test_diagonal_counts_degree_with_self_loop(self):
-        g = gen_er(ErParams(12, 0.5), seed=2)
-        h = g.matrix.astype(np.int64) @ g.matrix.astype(np.int64)
-        degrees = g.matrix.sum(axis=1, dtype=np.int64)
-        assert np.array_equal(np.diagonal(h), degrees)
-        ubqp_crosscheck(g, np.resize([1.0, -1.0], 12), 1.0)
-
-    def test_unbalanced_penalty_gap(self):
-        g = gen_er(ErParams(6, 0.5), seed=3)
-        tau = np.array([1.0, 1.0, 1.0, -1.0, 1.0, -1.0])  # sums to 2
-        chk = ubqp_crosscheck(g, tau, lam=1.0)
-        assert chk.penalized_form - chk.quadratic_form == 4
-
-    def test_weighted_graph_tolerant_equality(self):
-        g = gen_goe(GoeParams(8, 0.3), seed=4)
-        chk = ubqp_crosscheck(g, np.resize([1.0, -1.0], 8), 2.0)
-        assert chk.i2_direct == pytest.approx(chk.quadratic_form, rel=1e-9)

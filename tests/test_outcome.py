@@ -19,11 +19,11 @@ from netrand import (
 
 
 def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8), "binary")
+    return Graph(np.eye(n, dtype=np.uint8))
 
 
 def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8), "binary")
+    return Graph(np.ones((n, n), dtype=np.uint8))
 
 
 def balanced_tau(n):
@@ -59,7 +59,6 @@ class TestSimulateOutcomes:
         tau = np.append(balanced_tau(10), 1.0)
         params = OutcomeParams(mu0=2.0, mu1=-2.0, sigma_z=0.0, sigma_eps=0.0)
         out = simulate_outcomes(g, tau, params, np.random.default_rng(0))
-        assert out.paired_n == 10
         assert out.w == pytest.approx(4.0)
 
     def test_complete_graph_estimate_is_deterministic(self):

@@ -8,6 +8,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .graph import (
+    CsrGraph,
     ErParams,
     GoeParams,
     Graph,

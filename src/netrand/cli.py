@@ -177,6 +177,8 @@ def cmd_assign(args) -> int:
     g = graphmod.from_edge_list(args.edges)
     if args.order == "random":
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
+    else:
+        g = g.to_dense()
     res = run_design(g, cfg)
     i_by_pair = np.sqrt(res.i2_trajectory.astype(np.float64))
     last_pair = len(i_by_pair) - 1

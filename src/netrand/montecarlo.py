@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from . import graph as graphmod
-from .graph import ErParams, GoeParams, Graph, SbmParams
+from .graph import CsrGraph, ErParams, GoeParams, Graph, SbmParams
 from .design import ADAPTIVE, RANDOM, DesignConfig, run_design, run_design_many
 from .outcome import OutcomeParams, simulate_outcomes
 
@@ -96,7 +96,7 @@ class ExperimentSpec:
     outcome: OutcomeParams | None = None
     reps: int = 100
     seed: int = 0
-    sample_source: Graph | None = None
+    sample_source: Graph | CsrGraph | None = None
 
     def __post_init__(self):
         if self.model not in (ER, SBM, GOE, REAL):
@@ -206,6 +206,7 @@ def _resolve_cell(spec: ExperimentSpec, n: int):
     ``params`` is the generator's parameter object, or the sample size for
     ``real``.  Raises on a cell that cannot run, so a sweep fails before work.
     """
+    graphmod.check_dense_size(n)
     if spec.model == ER:
         p = spec.p if spec.p is not None else sparse_edge_probability(n, spec.sparse_log_density)
         return graphmod.gen_er, ErParams(n, p)

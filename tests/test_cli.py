@@ -344,6 +344,47 @@ class TestRejectedBeforeWork:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.fixture
+    def path_above_cap(self, tmp_path):
+        # a path names every node and parses in well under a second
+        n = graph._MAX_DENSE_NODES + 7232
+        edges = tmp_path / "path.txt"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        return edges
+
+    @pytest.mark.parametrize("case", ["real-sample", "assign-file", "assign-random"])
+    def test_dense_cap_exits_2_before_design(self, tmp_path, capsys, monkeypatch,
+                                             path_above_cap, case):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a design started before the dense-storage limit was checked")
+
+        monkeypatch.setattr(cli, "run_design", forbidden)
+        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        if case == "real-sample":
+            monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
+        out = str(tmp_path / "x.csv")
+        argv = {
+            "real-sample": ["real", "--edges", str(path_above_cap),
+                            "--sample", str(graph._MAX_DENSE_NODES + 2), "--out", out],
+            "assign-file": ["assign", "--edges", str(path_above_cap), "--order", "file",
+                            "--out", out],
+            "assign-random": ["assign", "--edges", str(path_above_cap), "--order", "random",
+                              "--out", out],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dense-storage limit" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["path.txt"]
+
+    def test_small_sample_of_list_above_cap_runs(self, tmp_path, path_above_cap):
+        out = tmp_path / "x.csv"
+        rc = main(["real", "--edges", str(path_above_cap), "--sample", "100", "--reps", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 and {r["n"] for r in rows} == {"100"}
+
+
 class TestOracleCmd:
     def test_report_passes(self, capsys):
         rc = main(["oracle", "--n", "8", "--p", "0.5", "--seed", "1",

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netrand import (
     ContractError,
+    CsrGraph,
     EdgeListParseError,
     ErParams,
     GoeParams,
@@ -24,7 +25,7 @@ from netrand import (
     scale_weights,
     write_edge_list,
 )
-from netrand.graph import _TILE, _mirror_upper
+from netrand.graph import _MAX_DENSE_NODES, _TILE, _mirror_upper
 
 
 def complete_graph(n):
@@ -137,19 +138,24 @@ def test_generator_invariants(n, p, seed):
 
 class TestEdgeList:
     def test_duplicate_collapse_and_symmetry(self):
-        g = from_edge_list(io.StringIO("# c\n0 1\n1 0\n"))
+        g = from_edge_list(io.StringIO("# c\n0 1\n1 0\n")).to_dense()
         assert g.n == 2
         assert g.matrix[0, 1] == 1 and g.matrix[1, 0] == 1
 
     def test_first_appearance_remapping(self):
-        g = from_edge_list(["5 9", "9 7"])
+        g = from_edge_list(["5 9", "9 7"]).to_dense()
         assert g.labels == ("5", "9", "7")
         assert g.matrix[0, 1] == 1 and g.matrix[1, 2] == 1 and g.matrix[0, 2] == 0
 
     def test_self_loops_ignored_diagonal_forced(self):
-        g = from_edge_list(["3 3", "3 4"])
+        g = from_edge_list(["3 3", "3 4"]).to_dense()
         assert g.n == 2
         assert (np.diagonal(g.matrix) == 1).all()
+
+    def test_only_self_loops_give_isolated_nodes(self):
+        g = from_edge_list(["7 7", "# c", "8 8", "7 7"])
+        assert g.labels == ("7", "8") and g.indices.size == 0
+        assert np.array_equal(g.to_dense().matrix, np.eye(2, dtype=np.uint8))
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListParseError) as err:
@@ -172,11 +178,157 @@ class TestEdgeList:
         g = gen_er(ErParams(40, 0.3), seed=1)
         path = tmp_path / "edges.txt"
         write_edge_list(g, path, header="test")
-        back = from_edge_list(path)
+        back = from_edge_list(path).to_dense()
         # relabeling permutes nodes; compare degree multiset and edge count
         assert back.n == g.n
         perm = np.argsort([int(x) for x in back.labels])
         assert np.array_equal(back.matrix[np.ix_(perm, perm)], g.matrix)
+
+
+def path_lines(n):
+    return [f"{i} {i + 1}" for i in range(n - 1)]
+
+
+class TestCsrGraph:
+    # the path 0 - 1 - 2
+    PATH = ([0, 1, 3, 4], [1, 0, 2, 1])
+
+    def test_valid_path(self):
+        g = CsrGraph(np.array(self.PATH[0]), np.array(self.PATH[1]), labels=("a", "b", "c"))
+        assert g.n == 3 and not g.weighted
+        assert np.array_equal(g.to_dense().matrix, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert g.to_dense().labels == ("a", "b", "c")
+
+    @pytest.mark.parametrize("indptr, indices, match", [
+        pytest.param([0, 1, 1, 1], [1], "symmetric", id="asymmetric-pair"),
+        pytest.param([0, 2, 3, 4], [2, 1, 0, 0], "sorted", id="unsorted"),
+        pytest.param([0, 2, 4], [1, 1, 0, 0], "unique", id="duplicate"),
+        pytest.param([0, 1, 2, 3], [1, 2, 0], "symmetric", id="directed-cycle-equal-degrees"),
+        pytest.param([0, 1], [0], "self-loops", id="self-loop"),
+        pytest.param([0, 2, 3], [0, 1, 0], "self-loops", id="self-loop-among-others"),
+        pytest.param([0, 1, 2], [1, 2], "outside", id="index-too-large"),
+        pytest.param([0, 1, 2], [-1, 0], "outside", id="index-negative"),
+        pytest.param([1, 1, 2], [1, 0], "indptr", id="indptr-not-from-0"),
+        pytest.param([0, 2, 1, 2], [1, 0], "indptr", id="indptr-decreasing"),
+        pytest.param([0, 1, 1], [1, 0], "indptr", id="indptr-end-short"),
+        pytest.param([], [], "indptr", id="indptr-empty"),
+    ])
+    def test_malformed_rejected(self, indptr, indices, match):
+        with pytest.raises(ParameterError, match=match):
+            CsrGraph(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+
+    def test_labels_length_and_dtype_rejected(self):
+        indptr, indices = (np.array(a, dtype=np.int64) for a in self.PATH)
+        with pytest.raises(ParameterError, match="labels"):
+            CsrGraph(indptr, indices, labels=("a", "b"))
+        with pytest.raises(ParameterError, match="int64"):
+            CsrGraph(indptr, indices.astype(np.int32))
+
+    def test_arrays_frozen(self):
+        g = from_edge_list(["a b", "b c"])
+        with pytest.raises(ValueError):
+            g.indices[0] = 2
+
+    def test_above_dense_cap_ingests_and_samples_without_densifying(self):
+        n = _MAX_DENSE_NODES + 7232
+        g = from_edge_list(path_lines(n))
+        assert isinstance(g, CsrGraph) and g.n == n and g.indices.shape == (2 * (n - 1),)
+        with pytest.raises(ParameterError, match="dense-storage limit"):
+            g.to_dense()
+        with pytest.raises(ParameterError, match="dense-storage limit"):
+            induced_subgraph_sample(g, _MAX_DENSE_NODES + 2, seed=0)
+        s = induced_subgraph_sample(g, 100, seed=3)
+        idx = np.random.default_rng(3).permutation(n)[:100]
+        assert s.labels == tuple(str(i) for i in idx.tolist())
+        assert np.array_equal(s.matrix, np.abs(idx[:, None] - idx[None, :]) <= 1)
+
+    def test_generators_check_dense_cap_first(self):
+        with pytest.raises(ParameterError, match="dense-storage limit"):
+            gen_er(ErParams(_MAX_DENSE_NODES + 2, 0.1), seed=0)
+
+
+def dense_fill_reference(lines):
+    """Dense ingestion as one n x n fill from a list of index tuples, the original algorithm."""
+    index: dict[str, int] = {}
+    edges = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        iu = index.setdefault(tokens[0], len(index))
+        iv = index.setdefault(tokens[1], len(index))
+        if iu != iv:
+            edges.append((iu, iv))
+    if not index:
+        return None
+    n = len(index)
+    a = np.zeros((n, n), dtype=np.uint8)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1
+    np.fill_diagonal(a, 1)
+    return Graph(a, labels=tuple(index))
+
+
+# Tokens hold no whitespace; one may start with '#', which makes its line a comment when first.
+TOKENS = st.text(alphabet="ab1_#é", min_size=1, max_size=3)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t", "\u00a0", "\u3000"])
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Edge lines over a small token pool, so duplicates, reversals and self-loops are common."""
+    names = draw(st.lists(TOKENS, min_size=1, max_size=12, unique=True))
+    node = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=40))
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+    pairs = draw(st.permutations(pairs))
+    lines = []
+    for u, v in pairs:
+        lines.append(draw(st.sampled_from(["", " "])) + u + draw(SEPARATORS) + v
+                     + draw(st.sampled_from(["", "\n", " \n"])))
+        lines += draw(st.lists(st.sampled_from(["# comment", "  # x y z", "", "   \n"]),
+                               max_size=1))
+    return lines
+
+
+class TestEdgeListAgainstDenseFill:
+    @given(lines=edge_list_lines())
+    @settings(max_examples=100, deadline=None)
+    def test_densified_parse_equals_dense_fill(self, lines):
+        want = dense_fill_reference(lines)
+        if want is None:
+            with pytest.raises(EdgeListParseError):
+                from_edge_list(lines)
+            return
+        got = from_edge_list(lines)
+        assert isinstance(got, CsrGraph)
+        dense = got.to_dense()
+        assert dense.labels == want.labels
+        assert dense.matrix.tobytes() == want.matrix.tobytes()
+
+    @given(lines=edge_list_lines(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_csr_sample_equals_dense_sample(self, lines, data, seed):
+        want = dense_fill_reference(lines)
+        assume(want is not None and want.n >= 2)
+        csr = from_edge_list(lines)
+        sizes = {2, want.n, data.draw(st.integers(2, want.n))}
+        for k in sorted(sizes):
+            got = induced_subgraph_sample(csr, k, seed)
+            ref = induced_subgraph_sample(want, k, seed)
+            assert got.matrix.dtype == ref.matrix.dtype == np.uint8
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            assert got.labels == ref.labels
+
+    @pytest.mark.parametrize("n", [3, 5, 37])
+    def test_odd_node_counts(self, n):
+        lines = path_lines(n) + [f"0 {n - 1}", f"{n - 1} 0", "2 2"]
+        csr, dense = from_edge_list(lines), dense_fill_reference(lines)
+        assert csr.to_dense().matrix.tobytes() == dense.matrix.tobytes()
+        for k in (2, n - 1, n):
+            got, ref = induced_subgraph_sample(csr, k, 8), induced_subgraph_sample(dense, k, 8)
+            assert got.matrix.tobytes() == ref.matrix.tobytes() and got.labels == ref.labels
 
 
 class TestInducedSample:
@@ -326,8 +478,8 @@ class TestGraphType:
     def test_weighted_follows_dtype(self):
         er = gen_er(ErParams(6, 0.5), seed=0)
         goe = gen_goe(GoeParams(6, 0.3), seed=1)
-        binary = [er, gen_sbm(SbmParams(6, 0.5, 0.1), seed=2), from_edge_list(["a b", "b c"]),
-                  induced_subgraph_sample(er, 4, seed=3)]
+        binary = [er, gen_sbm(SbmParams(6, 0.5, 0.1), seed=2),
+                  from_edge_list(["a b", "b c"]).to_dense(), induced_subgraph_sample(er, 4, seed=3)]
         weighted = [goe, induced_subgraph_sample(goe, 4, seed=3), scale_weights(goe, 2.0)]
         assert [(g.matrix.dtype, g.weighted) for g in binary] == [(np.uint8, False)] * 4
         assert [(g.matrix.dtype, g.weighted) for g in weighted] == [(np.float64, True)] * 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import EdgeListParseError, ContractError, ParameterError, Unsupport
 _MAX_DENSE_NODES = 32768
 # Row-block size of the float mat-vec; fixed, so its sums and GOE outcomes stay reproducible.
 _CHUNK_ROWS = 2048
-# Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring,
-# induced sampling); DECISIONS.md D4 has the measurements behind it.
+# Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
+# DECISIONS.md D4 has the measurements behind it.
 _TILE = 512
 
 
@@ -123,7 +123,7 @@ class CsrGraph:
             raise ParameterError("indptr must rise monotonically from 0 to len(indices)")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ParameterError(f"neighbour index outside [0, {n})")
-        rows = self._rows()
+        rows = self._rows(np.arange(n, dtype=np.int64))
         keys = rows * n + indices
         if (np.diff(keys) <= 0).any():
             raise ParameterError("neighbour lists must be sorted and unique")
@@ -146,21 +146,32 @@ class CsrGraph:
     def weighted(self) -> bool:
         return False
 
-    def _rows(self, row_ids=None) -> np.ndarray:
-        """``row_ids[i]`` (default i) for each stored neighbour of node i, in storage order."""
-        if row_ids is None:
-            row_ids = np.arange(self.n, dtype=np.int64)
+    def _rows(self, row_ids: np.ndarray) -> np.ndarray:
+        """``row_ids[i]`` for each stored neighbour of node i, in storage order."""
         return np.repeat(row_ids, np.diff(self.indptr))
+
+    def _densify(self, order: np.ndarray) -> np.ndarray:
+        """Fresh uint8 adjacency with unit diagonal of the nodes ``order``, in that order.
+
+        Only the stored edges with both ends in ``order`` are written, so the
+        rest of the graph is never made dense: O(n + |E|) plus the k² matrix.
+        """
+        k = order.shape[0]
+        check_dense_size(k)
+        # pos[v] is v's place in order, or -1; stored entries come in both orientations.
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[order] = np.arange(k)
+        src, dst = self._rows(pos), pos[self.indices]
+        both = (src >= 0) & (dst >= 0)
+        a = np.zeros((k, k), dtype=np.uint8)
+        a[src[both], dst[both]] = 1
+        np.fill_diagonal(a, 1)
+        return a
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense uint8 adjacency with unit diagonal, built anew on each read: O(n²)."""
-        n = self.n
-        check_dense_size(n)
-        a = np.zeros((n, n), dtype=np.uint8)
-        a.reshape(-1)[self._rows() * n + self.indices] = 1
-        np.fill_diagonal(a, 1)
-        return a
+        return self._densify(np.arange(self.n))
 
     def to_dense(self) -> Graph:
         """The validated dense ``Graph`` of the same nodes, in the same order."""
@@ -336,11 +347,14 @@ def scale_weights(g: Graph, c: float) -> Graph:
 
 
 def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
+    if not isinstance(source, (str, Path)):
         yield from source
+        return
+    with open(source, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise EdgeListParseError(f"edge list is not UTF-8 text ({exc.reason})") from None
 
 
 def from_edge_list(source) -> CsrGraph:
@@ -380,56 +394,33 @@ def from_edge_list(source) -> CsrGraph:
     return CsrGraph(indptr, indices, labels=tuple(index))
 
 
-def write_edge_list(g: Graph, sink, header: str | None = None) -> None:
-    """Write a binary graph as one 'u v' line per off-diagonal edge."""
+def write_edge_list(g: Graph, path, header: str | None = None) -> None:
+    """Write a binary graph to ``path`` as one 'u v' line per off-diagonal edge."""
     if g.weighted:
         raise UnsupportedKindError("edge-list output supports binary graphs only")
     labels = g.labels or tuple(str(i) for i in range(g.n))
-
-    def _emit(fh: IO[str]) -> None:
+    rows, cols = np.nonzero(np.triu(g.matrix, 1))
+    with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        rows, cols = np.nonzero(np.triu(g.matrix, 1))
         for i, j in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{labels[i]} {labels[j]}\n")
 
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            _emit(fh)
-    else:
-        _emit(sink)
 
-
-def induced_subgraph_sample(g: Graph | CsrGraph, k: int, seed) -> Graph:
+def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> Graph:
     """Uniform k-node induced subgraph, returned in a fresh uniform node order.
 
     The returned node order is the subject arrival order used downstream.
-    From a ``CsrGraph`` only the edges with both ends sampled are read, so
-    the parent is never made dense; both forms give the same sample.
+    Only the edges with both ends sampled are read, so the parent is never
+    made dense.
     """
     if not 2 <= k <= g.n:
         raise ParameterError(f"sample size {k} outside [2, {g.n}]")
-    check_dense_size(k)
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(g.n)[:k]
-    if isinstance(g, CsrGraph):
-        # pos[v] is v's place in the sample, or -1; stored entries come in both orientations.
-        pos = np.full(g.n, -1, dtype=np.int64)
-        pos[idx] = np.arange(k)
-        src, dst = g._rows(pos), pos[g.indices]
-        both = (src >= 0) & (dst >= 0)
-        sub = np.zeros((k, k), dtype=np.uint8)
-        sub[src[both], dst[both]] = 1
-        np.fill_diagonal(sub, 1)
-    else:
-        # Row blocks keep the gathered-rows intermediate at _TILE x n.
-        sub = np.empty((k, k), dtype=g.matrix.dtype)
-        for i0 in range(0, k, _TILE):
-            np.take(g.matrix[idx[i0:i0 + _TILE]], idx, axis=1, out=sub[i0:i0 + _TILE])
+    idx = np.random.default_rng(seed).permutation(g.n)[:k]
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[i] for i in idx.tolist())
-    return Graph(sub, labels=labels)
+    return Graph(g._densify(idx), labels=labels)
 
 
 def density(g: Graph) -> float:

@@ -73,7 +73,9 @@ def goe_fourth_moment_bound(b: float) -> float:
 
 
 def sparse_edge_probability(n: int, c: float) -> float:
-    """Density-regime edge probability log(n)/(c*n)."""
+    """Density-regime edge probability log(n)/(c*n), for c > 0."""
+    if not c > 0.0:
+        raise ParameterError(f"sparse log-density c must be positive, got {c}")
     p = math.log(n) / (c * n)
     if not 0.0 < p < 1.0:
         raise ParameterError(f"log(n)/(c*n) = {p} outside (0, 1) for n={n}, c={c}")
@@ -96,7 +98,7 @@ class ExperimentSpec:
     outcome: OutcomeParams | None = None
     reps: int = 100
     seed: int = 0
-    sample_source: Graph | CsrGraph | None = None
+    sample_source: CsrGraph | None = None
 
     def __post_init__(self):
         if self.model not in (ER, SBM, GOE, REAL):
@@ -117,6 +119,8 @@ class ExperimentSpec:
         for pol in self.policies:
             if pol not in (ADAPTIVE, RANDOM):
                 raise ParameterError(f"unknown policy {pol!r}")
+        if self.sparse_log_density is not None and not self.sparse_log_density > 0.0:
+            raise ParameterError("sparse log-density c must be positive")
         if self.model == ER:
             if (self.p is None) == (self.sparse_log_density is None):
                 raise ParameterError("er model needs exactly one of p or sparse_log_density")
@@ -218,8 +222,8 @@ def _resolve_cell(spec: ExperimentSpec, n: int):
         p = sparse_edge_probability(n, spec.sparse_log_density)
         return graphmod.gen_goe, GoeParams(n, p * (1.0 - p))
     source = spec.sample_source
-    if source is None:
-        raise ParameterError("real model needs a source graph")
+    if not isinstance(source, CsrGraph):
+        raise ParameterError("real model needs a CsrGraph source, such as from_edge_list gives")
     if n > source.n:
         raise ParameterError(f"sample size {n} exceeds graph size {source.n}")
     return partial(graphmod.induced_subgraph_sample, source), n

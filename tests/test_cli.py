@@ -309,6 +309,7 @@ class TestRejectedBeforeWork:
 
     @pytest.mark.parametrize("case", [
         "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",
+        "sparse-c-zero",
     ])
     def test_usage_error_exits_2_before_work(self, tmp_path, capsys, no_work, case):
         edges = tmp_path / "net.txt"
@@ -323,6 +324,8 @@ class TestRejectedBeforeWork:
             "real-reps": ["real", "--edges", str(edges), "--sample", "2", "--reps", "0",
                           "--out", out],
             "assign-b": ["assign", "--edges", str(edges), "--b", "0.3", "--out", out],
+            "sparse-c-zero": ["simulate", "--model", "er", "--n", "10",
+                              "--sparse-log-density", "0", "--reps", "1", "--out", out],
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -343,6 +346,20 @@ class TestRejectedBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("command", ["real", "assign"])
+    def test_non_utf8_edge_list_exits_1(self, tmp_path, capsys, command):
+        edges = tmp_path / "net.txt"
+        edges.write_bytes(b"a b\n\xff\xfe c\n")
+        argv = {
+            "real": ["real", "--edges", str(edges), "--sample", "2", "--reps", "1"],
+            "assign": ["assign", "--edges", str(edges)],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "UTF-8" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [edges]
 
     @pytest.fixture
     def path_above_cap(self, tmp_path):

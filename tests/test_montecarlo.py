@@ -13,6 +13,7 @@ from netrand import (
     OutcomeParams,
     ParameterError,
     adaptive_fourth_moment_bound,
+    from_edge_list,
     gen_er,
     goe_fourth_moment_bound,
     random_design_expected_i2,
@@ -96,6 +97,9 @@ class TestSparseProbability:
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             sparse_edge_probability(2, 0.01)
+        for c in (0.0, -1.0, float("nan")):
+            with pytest.raises(ParameterError, match="positive"):
+                sparse_edge_probability(10, c)
 
 
 class TestSpecValidation:
@@ -108,6 +112,8 @@ class TestSpecValidation:
             ExperimentSpec(model="sbm", n_values=(10,), p_in=0.3)
         with pytest.raises(ParameterError):
             ExperimentSpec(model="goe", n_values=(10,))
+        with pytest.raises(ParameterError, match="positive"):
+            ExperimentSpec(model="goe", n_values=(10,), sparse_log_density=0.0)
         # a real sweep's source is checked when its cells are resolved, before any work
         with pytest.raises(ParameterError):
             run_experiment(ExperimentSpec(model="real", n_values=(10,)))
@@ -122,19 +128,22 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("model", ["er", "real"])
+    @pytest.mark.parametrize("model", ["er", "real", "real-dense"])
     def test_unrunnable_cell_fails_before_any_replicate(self, monkeypatch, model):
-        # only the second cell cannot run: p = log(2)/(0.1 * 2) > 1, or 100 > 60 source nodes
+        # only the second cell cannot run: p = log(2)/(0.1 * 2) > 1, or 100 > 60 source nodes;
+        # no cell can sample a dense source
         def forbidden(*args, **kwargs):
             raise AssertionError("a replicate started before every cell was resolved")
 
-        source = gen_er(ErParams(60, 0.2), seed=1)
+        source = from_edge_list([f"{i} {i + 1}" for i in range(59)])
+        dense = gen_er(ErParams(60, 0.2), seed=1)
         monkeypatch.setattr(montecarlo, "run_design", forbidden)
         monkeypatch.setattr(graph, "gen_er", forbidden)
         monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
         spec = {
             "er": ExperimentSpec(model="er", n_values=(40, 2), sparse_log_density=0.1),
             "real": ExperimentSpec(model="real", n_values=(20, 100), sample_source=source),
+            "real-dense": ExperimentSpec(model="real", n_values=(20,), sample_source=dense),
         }[model]
         with pytest.raises(ParameterError):
             run_experiment(spec)

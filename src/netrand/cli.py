@@ -175,10 +175,9 @@ def cmd_assign(args) -> int:
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
     cfg = DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss)
     g = graphmod.from_edge_list(args.edges)
+    graphmod.check_exact_bound(g.degrees, g.n)
     if args.order == "random":
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
-    else:
-        g = g.to_dense()
     res = run_design(g, cfg)
     i_by_pair = np.sqrt(res.i2_trajectory.astype(np.float64))
     last_pair = len(i_by_pair) - 1

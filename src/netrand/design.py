@@ -3,10 +3,13 @@
 Subjects arrive in pairs and each pair receives opposite treatments.  The
 engine maintains the signed row-sum vector S of the revealed adjacency prefix
 and its squared norm (the squared imbalance) and evaluates both candidate
-assignments of a new pair in O(m) time from the two newly revealed rows.
+assignments of a new pair from the two newly revealed rows, read over the
+pair's prefix columns N (all of them on a dense graph, the pair's neighbours
+on neighbour lists): O(|N|) per pair.
 
 All state is kept in float64.  For binary graphs every intermediate quantity
-is an integer bounded far below 2**53, so the arithmetic is exact and the
+is an integer below 2**53 (the dense cap bounds it on a ``Graph``, and
+``graph.check_exact_bound`` on neighbour lists), so the arithmetic is exact and the
 incremental squared imbalance equals a from-scratch recomputation, as
 integers, at every step.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .graph import Graph, RevealedView
+from .graph import CsrGraph, Graph, RevealedView
 
 ADAPTIVE = "adaptive"
 RANDOM = "random"
@@ -73,12 +76,15 @@ class DesignState:
 class PairIncrement:
     """Quantities read from the two newly revealed rows over the current prefix.
 
-    ``y`` is the new-column difference over the prefix, ``z1``/``z2`` the
-    inner products of the two new row prefixes with the sign prefix,
-    ``corner`` the entry joining the two new subjects and ``diag`` the
-    self-weight (1 for generated graphs; scaled copies carry the scale).
+    ``cols`` are the prefix columns N read (:meth:`RevealedView.pair_neighbours`);
+    both rows are zero elsewhere.  ``y`` is the new-column difference over N,
+    ``z1``/``z2`` the inner products of the two new row prefixes with the
+    sign prefix, ``corner`` the entry joining the two new subjects and
+    ``diag`` the self-weight (1 for generated graphs; scaled copies carry the
+    scale).
     """
 
+    cols: slice | np.ndarray
     y: np.ndarray
     z1: float
     z2: float
@@ -88,18 +94,11 @@ class PairIncrement:
 
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
     """Build the increment for the next pair from the revealed prefix."""
-    length = 2 * state.pairs
-    rows = view.pair_rows(length)
-    block = rows[:, :length].astype(np.float64)
-    z = block @ state.tau
-    y = block[1] - block[0]
-    return PairIncrement(
-        y=y,
-        z1=float(z[0]),
-        z2=float(z[1]),
-        corner=float(rows[0, length + 1]),
-        diag=float(rows[0, length]),
-    )
+    cols, vals, diag, corner = view.pair_neighbours(2 * state.pairs)
+    block = vals.astype(np.float64)
+    z = block @ state.tau[cols]
+    return PairIncrement(cols, block[1] - block[0], float(z[0]), float(z[1]),
+                         float(corner), float(diag))
 
 
 def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float, float]:
@@ -109,12 +108,13 @@ def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float,
     Equals a full recomputation of the squared imbalance over the extended
     prefix, integer-exactly for binary graphs.
     """
-    length = 2 * state.pairs
-    if inc.y.shape != (length,):
+    s_n = state.s[inc.cols]
+    if inc.y.shape != s_n.shape:
         raise ContractError(
-            f"increment of length {inc.y.shape[0]} does not match prefix {length}"
+            f"increment of length {inc.y.shape[0]} does not match its {s_n.shape[0]} "
+            f"columns of prefix {2 * state.pairs}"
         )
-    sy = float(state.s @ inc.y)
+    sy = float(s_n @ inc.y)
     base = state.i2 + float(inc.y @ inc.y)
     e = inc.diag - inc.corner
     i2_01 = base - 2.0 * sy + (inc.z1 + e) ** 2 + (inc.z2 - e) ** 2
@@ -142,14 +142,14 @@ def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, rng) -> Desi
     length = 2 * state.pairs
     e = inc.diag - inc.corner
     if choose_01:
-        state.s_buf[:length] -= inc.y
+        state.s_buf[inc.cols] -= inc.y
         state.s_buf[length] = inc.z1 + e
         state.s_buf[length + 1] = inc.z2 - e
         state.tau_buf[length] = 1.0
         state.tau_buf[length + 1] = -1.0
         state.i2 = i2_01
     else:
-        state.s_buf[:length] += inc.y
+        state.s_buf[inc.cols] += inc.y
         state.s_buf[length] = inc.z1 - e
         state.s_buf[length + 1] = inc.z2 + e
         state.tau_buf[length] = -1.0
@@ -174,7 +174,7 @@ class DesignResult:
     final_i2: int | float
 
 
-def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
+def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignResult:
     """Run the sequential pairwise design over subjects in index order.
 
     Only the revealed principal submatrix is ever read while assigning.  An
@@ -206,8 +206,8 @@ def run_design(g: Graph, cfg: DesignConfig, *, rng=None) -> DesignResult:
     return DesignResult(tau, trajectory, int(trajectory[-1]))
 
 
-def imbalance_recompute(g: Graph, tau, upto: int | None = None):
-    """Squared imbalance of a sign prefix by direct dense multiplication.
+def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
+    """Squared imbalance of a sign prefix by direct multiplication.
 
     Reference checker for the incremental path: computes the squared norm of
     A^(upto) tau[:upto].  Returns an int for binary graphs.
@@ -224,15 +224,15 @@ def imbalance_recompute(g: Graph, tau, upto: int | None = None):
     return total if g.weighted else int(round(total))
 
 
-def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:
+def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:
     """Final squared imbalances of ``reps`` independent runs on a fixed graph.
 
     Vectorizes the per-step coin across replicates; each replicate consumes
     the same draws it would in :func:`run_design` when fed column r of the
     per-step uniform blocks (property-tested against the scalar engine).
     Reads the graph through a :class:`RevealedView` revealed pair by pair,
-    as :func:`run_design` does, but touches only the new pair's prefix
-    neighbours N (:meth:`RevealedView.pair_neighbours`): S and the signs are
+    as :func:`run_design` does, and touches only the new pair's prefix
+    columns N (:meth:`RevealedView.pair_neighbours`): S and the signs are
     kept subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]``
     are row gathers.  The candidates are ``c + d`` (pair gets (0,1)) and
     ``c - d`` (pair gets (1,0)), so the coin is decided by the sign of d.
@@ -257,8 +257,11 @@ def run_design_many(g: Graph, cfg: DesignConfig, reps: int, *, rng=None) -> np.n
     # The first pair has no prefix neighbours, so d = 0 and its coin is the fair one.
     for length in range(0, n2, 2):
         view.reveal_to(length + 2)
-        cols, vals = view.pair_neighbours(length)
-        diag, corner = view.pair_rows(length)[0, length:]
+        cols, vals, diag, corner = view.pair_neighbours(length)
+        if isinstance(cols, slice):
+            # Dense rows: keep the nonzero columns, so a pair costs O(|N| reps), not O(length reps).
+            cols = np.flatnonzero(np.logical_or(vals[0], vals[1]))
+            vals = vals[:, cols]
         e = float(diag) - float(corner)
         block = vals.astype(np.float64)
         y = block[1] - block[0]

@@ -1,12 +1,12 @@
 """Symmetric networks with self-loops: generation, ingestion, sampling, revelation.
 
 Graphs are immutable after construction and safe to share across threads.
-Designs read a dense ``Graph``: binary adjacency as a uint8 matrix (unit
-diagonal), weighted adjacency as float64, which keeps a full 10000-node
-sequential run comfortably in memory.  Edge lists are read into a
-``CsrGraph`` of sorted neighbour lists, O(n + |E|), and only the matrix a
-design reads (a sample, or the whole list in file order) is made dense.
-Designs and outcome simulation read the matrix only through ``RevealedView``.
+Generated graphs are a dense ``Graph``: binary adjacency as a uint8 matrix
+(unit diagonal), weighted adjacency as float64.  Edge lists are read into a
+``CsrGraph`` of sorted neighbour lists, O(n + |E|), and induced samples of
+one stay neighbour lists.  Designs and outcome simulation read either form
+only through ``RevealedView``, so a design on neighbour lists never builds
+an n x n matrix.
 """
 from __future__ import annotations
 
@@ -20,8 +20,11 @@ import numpy as np
 from .errors import EdgeListParseError, ContractError, ParameterError, UnsupportedKindError
 
 # Nodes of a dense matrix (1 GiB as uint8); checked before one is built.  It also keeps
-# every binary design quantity exact in float64: I^2 <= n^3 < 2^53.
+# every binary design quantity on a dense graph exact in float64: I^2 <= n^3 < 2^53.
 _MAX_DENSE_NODES = 32768
+# float64 holds every integer below 2^53 exactly; designs on neighbour lists are held
+# below it by check_exact_bound.
+_EXACT_LIMIT = 2**53
 # Row-block size of the float mat-vec; fixed, so its sums and GOE outcomes stay reproducible.
 _CHUNK_ROWS = 2048
 # Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
@@ -104,8 +107,8 @@ class CsrGraph:
     Node i's neighbours are ``indices[indptr[i]:indptr[i + 1]]``, strictly
     increasing and never i itself; the unit self-weight is implied, not
     stored.  Storage and validation are O(n + |E|) apart from one sort of the
-    |E| transposed keys.  Designs read the dense ``Graph`` of
-    :meth:`to_dense` or :func:`induced_subgraph_sample`.
+    |E| transposed keys.  Designs read the lists directly through
+    ``RevealedView``; :meth:`to_dense` is the dense ``Graph`` of the same nodes.
     """
 
     indptr: np.ndarray
@@ -146,36 +149,44 @@ class CsrGraph:
     def weighted(self) -> bool:
         return False
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Number of stored neighbours of each node (the self-loop not counted)."""
+        return np.diff(self.indptr)
+
     def _rows(self, row_ids: np.ndarray) -> np.ndarray:
-        """``row_ids[i]`` for each stored neighbour of node i, in storage order."""
-        return np.repeat(row_ids, np.diff(self.indptr))
-
-    def _densify(self, order: np.ndarray) -> np.ndarray:
-        """Fresh uint8 adjacency with unit diagonal of the nodes ``order``, in that order.
-
-        Only the stored edges with both ends in ``order`` are written, so the
-        rest of the graph is never made dense: O(n + |E|) plus the k² matrix.
-        """
-        k = order.shape[0]
-        check_dense_size(k)
-        # pos[v] is v's place in order, or -1; stored entries come in both orientations.
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[order] = np.arange(k)
-        src, dst = self._rows(pos), pos[self.indices]
-        both = (src >= 0) & (dst >= 0)
-        a = np.zeros((k, k), dtype=np.uint8)
-        a[src[both], dst[both]] = 1
-        np.fill_diagonal(a, 1)
-        return a
+        """``row_ids[i]`` for each stored neighbour of node i < len(row_ids), in storage order."""
+        return np.repeat(row_ids, self.degrees[:row_ids.shape[0]])
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense uint8 adjacency with unit diagonal, built anew on each read: O(n²)."""
-        return self._densify(np.arange(self.n))
+        n = self.n
+        check_dense_size(n)
+        a = np.zeros((n, n), dtype=np.uint8)
+        a[self._rows(np.arange(n)), self.indices] = 1
+        np.fill_diagonal(a, 1)
+        return a
 
     def to_dense(self) -> Graph:
         """The validated dense ``Graph`` of the same nodes, in the same order."""
         return Graph(self.matrix, labels=self.labels)
+
+
+def check_exact_bound(degrees: np.ndarray, k: int) -> None:
+    """Reject a k-subject design on neighbour lists whose I^2 could reach 2^53.
+
+    A signed row sum obeys |s_i| <= d_i + 1 on every induced subgraph, so every
+    squared imbalance, candidate and partial sum a design forms is at most
+    the sum of (d_i + 1)^2 over the k highest ``degrees``.  Below 2^53 all of
+    them are integers that float64 holds exactly.
+    """
+    top = np.partition(degrees, degrees.shape[0] - k)[degrees.shape[0] - k:]
+    bound = sum(d * d for d in (top + 1).tolist())
+    if bound >= _EXACT_LIMIT:
+        raise ParameterError(
+            f"a {k}-node design could reach I^2 = {bound} >= 2^53, past exact float64 integers"
+        )
 
 
 class RevealedView:
@@ -183,57 +194,93 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
-    ``pair_rows``, ``pair_neighbours`` and ``matvec`` are the only reads.
+    ``pair_neighbours`` and ``matvec`` are the only reads, and both serve a
+    dense ``Graph`` and a ``CsrGraph`` alike.
     """
 
-    def __init__(self, graph: Graph, revealed: int = 0):
+    def __init__(self, graph: Graph | CsrGraph, revealed: int = 0):
         if not 0 <= revealed <= graph.n:
             raise ParameterError("revealed prefix out of range")
         self.graph = graph
-        # Read once: a CsrGraph builds its dense matrix on each read.
-        self._matrix = graph.matrix
         self._revealed = revealed
+        # A CsrGraph's pair-major neighbour lists, built on the first pair read.
+        self._pairs = None
 
     def reveal_to(self, k: int) -> None:
         if k < self._revealed or k > self.graph.n:
             raise ContractError(f"cannot reveal prefix {k} (currently {self._revealed})")
         self._revealed = k
 
-    def pair_rows(self, length: int) -> np.ndarray:
-        """Rows (length, length+1) over columns [0, length+2): the newest pair's rows.
+    def pair_neighbours(self, length: int):
+        """The newest pair's prefix columns N, its 2 x |N| entries there, self-weight and corner.
 
-        Columns [0, length) join the pair to the earlier subjects; column
-        ``length`` of the first row is the self-weight and column
-        ``length + 1`` the corner joining the two new subjects.
+        The pair is subjects (length, length + 1), with ``length`` even.  Every
+        column of [0, length) outside N is zero in both of the pair's rows, and
+        ``corner`` is the entry joining the two.  A dense ``Graph`` gives
+        N = slice(0, length) and the two rows over it; a ``CsrGraph`` gives the
+        sorted union of the pair's neighbours in [0, length) and its 0/1
+        entries there.
         """
-        if length < 0 or length + 2 > self._revealed:
-            raise ContractError(
-                f"pair rows at {length} outside revealed prefix {self._revealed}"
-            )
-        return self._matrix[length:length + 2, :length + 2]
-
-    def pair_neighbours(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix neighbours of the newest pair: columns N and the 2 x |N| entries there.
-
-        N is the sorted set of columns in [0, length) where row ``length`` or
-        ``length + 1`` is nonzero; every other prefix column of
-        :meth:`pair_rows` is zero in both rows.
-        """
-        rows = self.pair_rows(length)[:, :length]
-        cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
-        return cols, rows[:, cols]
+        if length < 0 or length % 2 or length + 2 > self._revealed:
+            raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
+        g = self.graph
+        if isinstance(g, Graph):
+            rows = g.matrix[length:length + 2, :length + 2]
+            return slice(0, length), rows[:, :length], rows[0, length], rows[0, length + 1]
+        if self._pairs is None:
+            self._pairs = _pair_lists(g)
+        ptr, cols, vals, corner = self._pairs
+        m = length // 2
+        lo, hi = ptr[m], ptr[m + 1]
+        return cols[lo:hi], vals[:, lo:hi], 1, corner[m]
 
     def matvec(self, v) -> np.ndarray:
-        """Revealed submatrix times ``v`` in float64, converted in row chunks."""
+        """Revealed submatrix times ``v`` in float64.
+
+        A dense ``Graph`` is converted in row chunks; on a ``CsrGraph`` each
+        subject adds the entries of ``v`` at its neighbours in the prefix.
+        """
         k = self._revealed
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (k,):
             raise ContractError(f"vector of shape {v.shape} does not match revealed prefix {k}")
+        g = self.graph
+        if isinstance(g, CsrGraph):
+            rows, cols = g._rows(np.arange(k)), g.indices[:g.indptr[k]]
+            inside = cols < k
+            return v + np.bincount(rows[inside], weights=v[cols[inside]], minlength=k)
         out = np.empty(k, dtype=np.float64)
         for i0 in range(0, k, _CHUNK_ROWS):
             i1 = min(i0 + _CHUNK_ROWS, k)
-            out[i0:i1] = self._matrix[i0:i1, :k].astype(np.float64) @ v
+            out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64) @ v
         return out
+
+
+def _pair_lists(g: CsrGraph):
+    """Pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, corner)``.
+
+    Pair m is nodes (2m, 2m + 1).  ``cols[ptr[m]:ptr[m + 1]]`` is the sorted
+    union of their neighbours in [0, 2m), ``vals[:, ptr[m]:ptr[m + 1]]`` the
+    two nodes' 0/1 entries there and ``corner[m]`` the entry joining them.
+    One sort of (pair, column, side) keys: O(|E| log |E|).
+    """
+    pairs, n = g.n // 2, g.n
+    rows, cols = g._rows(np.arange(n)), g.indices
+    pair, side = np.divmod(rows, 2)
+    corner = np.zeros(pairs, dtype=np.uint8)
+    corner[pair[(side == 0) & (cols == rows + 1)]] = 1
+    # Earlier columns only; an odd trailing node has pair == pairs and joins no pair.
+    before = (cols < 2 * pair) & (pair < pairs)
+    keys = (pair[before] * n + cols[before]) * 2 + side[before]
+    keys.sort()
+    pair_col = keys >> 1
+    first = np.diff(pair_col, prepend=-1) != 0
+    vals = np.zeros((2, int(first.sum())), dtype=np.uint8)
+    vals[keys & 1, np.cumsum(first) - 1] = 1
+    pair_of, cols = np.divmod(pair_col[first], n)
+    ptr = np.zeros(pairs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_of, minlength=pairs), out=ptr[1:])
+    return ptr, cols, vals, corner
 
 
 @dataclass(frozen=True)
@@ -350,7 +397,8 @@ def _iter_lines(source) -> Iterator[str]:
     if not isinstance(source, (str, Path)):
         yield from source
         return
-    with open(source, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise join the first token.
+    with open(source, "r", encoding="utf-8-sig") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -384,14 +432,17 @@ def from_edge_list(source) -> CsrGraph:
     u, v = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2).T
     keep = u != v
     u, v = u[keep], v[keep]
-    # Both orientations, sorted and deduplicated, are the rows of the neighbour lists.
+    return _from_keys(np.concatenate([u * n + v, v * n + u]), n, tuple(index))
+
+
+def _from_keys(keys: np.ndarray, n: int, labels) -> CsrGraph:
+    """Neighbour lists from ``row * n + column`` keys of both orientations; repeats collapse."""
     # A sort and a mask, not np.unique: 0.14 s against 9 s for 6M keys on numpy 2.4.
-    keys = np.concatenate([u * n + v, v * n + u])
     keys.sort()
     rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrGraph(indptr, indices, labels=tuple(index))
+    return CsrGraph(indptr, indices, labels=labels)
 
 
 def write_edge_list(g: Graph, path, header: str | None = None) -> None:
@@ -407,12 +458,12 @@ def write_edge_list(g: Graph, path, header: str | None = None) -> None:
             fh.write(f"{labels[i]} {labels[j]}\n")
 
 
-def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> Graph:
-    """Uniform k-node induced subgraph, returned in a fresh uniform node order.
+def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:
+    """Uniform k-node induced subgraph as neighbour lists, in a fresh uniform node order.
 
     The returned node order is the subject arrival order used downstream.
-    Only the edges with both ends sampled are read, so the parent is never
-    made dense.
+    Only the edges with both ends sampled are kept: O(n + |E|) plus a sort
+    of the kept ones.
     """
     if not 2 <= k <= g.n:
         raise ParameterError(f"sample size {k} outside [2, {g.n}]")
@@ -420,14 +471,22 @@ def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> Graph:
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[i] for i in idx.tolist())
-    return Graph(g._densify(idx), labels=labels)
+    # pos[v] is v's place in the sample, or -1; stored entries come in both orientations.
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[idx] = np.arange(k)
+    src, dst = g._rows(pos), pos[g.indices]
+    both = (src >= 0) & (dst >= 0)
+    return _from_keys(src[both] * k + dst[both], k, labels)
 
 
-def density(g: Graph) -> float:
+def density(g: Graph | CsrGraph) -> float:
     """Fraction of off-diagonal pairs connected; self-loops excluded."""
     if g.weighted:
         raise UnsupportedKindError("density is defined for binary graphs")
     if g.n < 2:
         raise ParameterError("density needs at least 2 nodes")
-    ones = int(g.matrix.sum(dtype=np.int64)) - g.n
+    if isinstance(g, CsrGraph):
+        ones = g.indices.shape[0]
+    else:
+        ones = int(g.matrix.sum(dtype=np.int64)) - g.n
     return ones / (g.n * (g.n - 1))

@@ -208,9 +208,12 @@ def _resolve_cell(spec: ExperimentSpec, n: int):
     """``(make, params)`` of the size-n cell; ``make(params, seed)`` draws one graph.
 
     ``params`` is the generator's parameter object, or the sample size for
-    ``real``.  Raises on a cell that cannot run, so a sweep fails before work.
+    ``real``.  Raises on a cell that cannot run, so a sweep fails before work:
+    a generated graph must fit the dense cap, and a sample's I^2 must stay
+    exact in float64.
     """
-    graphmod.check_dense_size(n)
+    if spec.model != REAL:
+        graphmod.check_dense_size(n)
     if spec.model == ER:
         p = spec.p if spec.p is not None else sparse_edge_probability(n, spec.sparse_log_density)
         return graphmod.gen_er, ErParams(n, p)
@@ -226,6 +229,7 @@ def _resolve_cell(spec: ExperimentSpec, n: int):
         raise ParameterError("real model needs a CsrGraph source, such as from_edge_list gives")
     if n > source.n:
         raise ParameterError(f"sample size {n} exceeds graph size {source.n}")
+    graphmod.check_exact_bound(source.degrees, n)
     return partial(graphmod.induced_subgraph_sample, source), n
 
 
@@ -329,7 +333,7 @@ def relative_reduction(adaptive_mean: float, random_mean: float) -> tuple[float,
     return 1.0 - adaptive_mean / random_mean, False
 
 
-def reduction_report(g: Graph, b: float, reps: int, seed) -> ReductionReport:
+def reduction_report(g: Graph | CsrGraph, b: float, reps: int, seed) -> ReductionReport:
     """Mean final imbalance under both policies on the same graph.
 
     Replicates use independent draws from streams spawned off ``seed``.  If

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .graph import Graph, RevealedView
+from .graph import CsrGraph, Graph, RevealedView
 from .design import imbalance_recompute
 
 
@@ -50,7 +50,7 @@ def _check_sign_vector(g: Graph, tau) -> np.ndarray:
     return tau
 
 
-def simulate_outcomes(g: Graph, tau, params: OutcomeParams, rng) -> TrialOutcome:
+def simulate_outcomes(g: Graph | CsrGraph, tau, params: OutcomeParams, rng) -> TrialOutcome:
     """Draw one outcome vector and its estimate for a fixed assignment.
 
     Consumes n covariate draws Z ~ N(0, sigma_z^2) followed by n noise draws.

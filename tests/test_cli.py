@@ -1,6 +1,7 @@
 import csv
 import hashlib
 
+import numpy as np
 import pytest
 
 from netrand import ErParams, gen_er, write_edge_list, summarize
@@ -263,6 +264,22 @@ class TestAssign:
         main(["assign", "--edges", str(edges), "--out", str(out)])
         assert [r["node_id"] for r in read_csv(out)] == ["x", "y", "z"]
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        edges = tmp_path / "bom.txt"
+        edges.write_bytes(b"\xef\xbb\xbfa b\nb a\na c\n")
+        out = tmp_path / "x.csv"
+        assert main(["assign", "--edges", str(edges), "--out", str(out)]) == 0
+        assert [r["node_id"] for r in read_csv(out)] == ["a", "b", "c"]
+
+
+@pytest.fixture
+def path_above_cap(tmp_path):
+    # a path names every node and parses in well under a second
+    n = graph._MAX_DENSE_NODES + 7232
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    return edges
+
 
 class TestRejectedBeforeWork:
     @pytest.fixture
@@ -346,7 +363,6 @@ class TestRejectedBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-
     @pytest.mark.parametrize("command", ["real", "assign"])
     def test_non_utf8_edge_list_exits_1(self, tmp_path, capsys, command):
         edges = tmp_path / "net.txt"
@@ -361,37 +377,32 @@ class TestRejectedBeforeWork:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [edges]
 
-    @pytest.fixture
-    def path_above_cap(self, tmp_path):
-        # a path names every node and parses in well under a second
-        n = graph._MAX_DENSE_NODES + 7232
-        edges = tmp_path / "path.txt"
-        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
-        return edges
+    @pytest.mark.parametrize("command", ["real", "assign"])
+    def test_exactness_bound_exits_2_before_design(self, tmp_path, capsys, monkeypatch, command):
+        # No graph whose I^2 could reach 2^53 fits in memory, so the guard is fed such degrees.
+        guard = graph.check_exact_bound
 
-    @pytest.mark.parametrize("case", ["real-sample", "assign-file", "assign-random"])
-    def test_dense_cap_exits_2_before_design(self, tmp_path, capsys, monkeypatch,
-                                             path_above_cap, case):
+        def fed(degrees, k):
+            assert degrees.shape == (4,)
+            guard(np.full(4, 2**26 - 1), k)
+
         def forbidden(*args, **kwargs):
-            raise AssertionError("a design started before the dense-storage limit was checked")
+            raise AssertionError("work started before the exactness bound was checked")
 
+        monkeypatch.setattr(graph, "check_exact_bound", fed)
         monkeypatch.setattr(cli, "run_design", forbidden)
         monkeypatch.setattr(montecarlo, "run_design", forbidden)
-        if case == "real-sample":
-            monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
-        out = str(tmp_path / "x.csv")
+        monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\nc d\n")
         argv = {
-            "real-sample": ["real", "--edges", str(path_above_cap),
-                            "--sample", str(graph._MAX_DENSE_NODES + 2), "--out", out],
-            "assign-file": ["assign", "--edges", str(path_above_cap), "--order", "file",
-                            "--out", out],
-            "assign-random": ["assign", "--edges", str(path_above_cap), "--order", "random",
-                              "--out", out],
-        }[case]
-        assert main(argv) == 2
+            "real": ["real", "--edges", str(edges), "--sample", "2", "--reps", "1"],
+            "assign": ["assign", "--edges", str(edges), "--order", "random"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "dense-storage limit" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["path.txt"]
+        assert err.startswith("error: ") and "2^53" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.txt"]
 
     def test_small_sample_of_list_above_cap_runs(self, tmp_path, path_above_cap):
         out = tmp_path / "x.csv"
@@ -400,6 +411,58 @@ class TestRejectedBeforeWork:
         assert rc == 0
         rows = read_csv(out)
         assert len(rows) == 2 and {r["n"] for r in rows} == {"100"}
+
+
+class TestAboveDenseCap:
+    """Designs on neighbour lists: a sample or cohort above the dense cap runs, exactly."""
+
+    @pytest.mark.parametrize("case", ["real-sample", "assign-file", "assign-random"])
+    def test_above_dense_cap_runs_exactly(self, tmp_path, monkeypatch, path_above_cap, case):
+        designs = []
+
+        def recording(g, cfg, **kwargs):
+            designs.append((g.labels, run_design(g, cfg, **kwargs)))
+            return designs[-1][1]
+
+        run_design = montecarlo.run_design
+        monkeypatch.setattr(montecarlo, "run_design", recording)
+        out = tmp_path / "x.csv"
+        k = graph._MAX_DENSE_NODES + 2
+        argv = {
+            "real-sample": ["real", "--edges", str(path_above_cap), "--sample", str(k),
+                            "--reps", "1", "--out", str(out)],
+            "assign-file": ["assign", "--edges", str(path_above_cap), "--order", "file",
+                            "--out", str(out)],
+            "assign-random": ["assign", "--edges", str(path_above_cap), "--order", "random",
+                              "--out", str(out)],
+        }[case]
+        assert main(argv) == 0
+        rows = read_csv(out)
+        if case == "real-sample":
+            assert [r["policy"] for r in rows] == ["adaptive", "random"] and len(designs) == 2
+            for row, (labels, res) in zip(rows, designs):
+                assert int(row["I2"]) == path_imbalance2(labels, res.tau) == res.final_i2
+                assert row["n"] == str(k)
+        else:
+            n = graph._MAX_DENSE_NODES + 7232
+            assert len(rows) == n and sorted(int(r["node_id"]) for r in rows) == list(range(n))
+            tau = [1 if r["treatment"] == "0" else -1 for r in rows]
+            i_final = float(rows[-1]["I"])
+            assert round(i_final * i_final) == path_imbalance2([r["node_id"] for r in rows], tau)
+            if case == "assign-file":
+                assert [r["node_id"] for r in rows] == [str(i) for i in range(n)]
+
+
+def path_imbalance2(labels, tau):
+    """||A tau||^2 for the nodes ``labels`` (in that order) of the path 0 - 1 - 2 - ..."""
+    pos = {int(x): i for i, x in enumerate(labels)}
+    s = [int(t) for t in tau]
+    for x, i in pos.items():
+        j = pos.get(x + 1)
+        if j is not None:
+            s[i] += tau[j]
+            s[j] += tau[i]
+    return sum(int(v) ** 2 for v in s)
 
 
 class TestOracleCmd:

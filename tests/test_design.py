@@ -9,14 +9,17 @@ from netrand import (
     ADAPTIVE,
     RANDOM,
     ContractError,
+    CsrGraph,
     DesignConfig,
     ErParams,
     GoeParams,
     Graph,
     ParameterError,
     RevealedView,
+    SbmParams,
     gen_er,
     gen_goe,
+    gen_sbm,
     imbalance_recompute,
     run_design,
     run_design_many,
@@ -164,11 +167,13 @@ class TestCandidates:
             assert int(i2_10) == imbalance_recompute(g, tau10, 4)
 
     def test_dimension_mismatch_rejected(self):
+        # y must have one entry per column read: the whole prefix, or the listed neighbours
         g = gen_er(ErParams(8, 0.5), seed=0)
         st_ = first_step(g, Replay([0.1]))
-        bad = design.PairIncrement(y=np.zeros(4), z1=0.0, z2=0.0, corner=0.0)
-        with pytest.raises(ContractError):
-            candidate_imbalances(st_, bad)
+        for cols, width in ((slice(0, 4), 4), (slice(0, 2), 3), (np.array([0, 1]), 1)):
+            bad = design.PairIncrement(cols=cols, y=np.zeros(width), z1=0.0, z2=0.0, corner=0.0)
+            with pytest.raises(ContractError):
+                candidate_imbalances(st_, bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -441,3 +446,74 @@ def test_batched_equals_scalar_weighted(pairs, odd, policy, seed):
     finals, scalar = batched_and_scalar(g, DesignConfig(policy, b=0.85), 8, Recorder(seed + 1))
     assert finals.dtype == np.float64
     assert finals.tolist() == pytest.approx(scalar, rel=1e-12)
+
+
+def csr_from_edges(n, u, v):
+    """Neighbour lists of the simple graph with edges (u[i], v[i]); loops and repeats dropped."""
+    keep = u != v
+    keys = np.unique(np.concatenate([u[keep] * n + v[keep], v[keep] * n + u[keep]]))
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CsrGraph(indptr, cols.astype(np.int64))
+
+
+def upper_edges(g):
+    return np.nonzero(np.triu(g.matrix, 1))
+
+
+@st.composite
+def edge_lists(draw):
+    """Binary graphs from 2 to 2000 nodes as neighbour lists: ER, SBM, heavy-tailed, complete.
+
+    Sparse draws leave isolated nodes; the complete graph ties at every pair.
+    """
+    n = draw(st.one_of(st.integers(2, 60), st.integers(61, 2000)))
+    kind = draw(st.sampled_from(["er", "sbm", "heavy", "complete"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "complete":
+        n = min(n, 300)
+        return csr_from_edges(n, *np.nonzero(~np.eye(n, dtype=bool)))
+    if kind == "er":
+        mean_degree = draw(st.sampled_from([0.5, 3.0, 20.0]))
+        p = min(mean_degree / n, 0.9)
+        return csr_from_edges(n, *upper_edges(gen_er(ErParams(n, p), seed)))
+    if kind == "sbm":
+        p_in = min(8.0 / n, 1.0)
+        return csr_from_edges(n, *upper_edges(gen_sbm(SbmParams(n, p_in, p_in / 8), seed)))
+    # Chung-Lu endpoints with Pareto weights: a few hubs and many low degrees
+    rng = np.random.default_rng(seed)
+    w = rng.pareto(1.5, n) + 1.0
+    u, v = rng.choice(n, size=(2, 2 * n), p=w / w.sum())
+    return csr_from_edges(n, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_lists(), st.sampled_from([ADAPTIVE, RANDOM]), st.integers(0, 100_000))
+def test_neighbour_lists_match_dense_under_one_stream(g, policy, seed):
+    dense = g.to_dense()
+    cfg = DesignConfig(policy, b=0.85, seed=seed)
+    a, b = run_design(g, cfg), run_design(dense, cfg)
+    assert np.array_equal(a.tau, b.tau)
+    assert a.i2_trajectory.dtype == b.i2_trajectory.dtype == np.int64
+    assert np.array_equal(a.i2_trajectory, b.i2_trajectory) and a.final_i2 == b.final_i2
+    many = [run_design_many(h, cfg, 5, rng=np.random.default_rng(seed)) for h in (g, dense)]
+    assert np.array_equal(*many)
+    n2 = g.n - g.n % 2
+    assert imbalance_recompute(g, a.tau[:n2]) == imbalance_recompute(dense, a.tau[:n2]) == a.final_i2
+
+
+def test_pair_read_outside_prefix_rejected_on_both_storages():
+    g = csr_from_edges(9, np.array([0, 1, 2, 5, 8]), np.array([3, 4, 7, 6, 0]))
+    for h in (g, g.to_dense()):
+        view = RevealedView(h, revealed=6)
+        for length in (0, 2, 4):
+            view.pair_neighbours(length)
+        for length in (-2, 1, 6, 8):
+            with pytest.raises(ContractError):
+                view.pair_neighbours(length)
+        st_ = empty_state(h.n)
+        for m in range(3):
+            step(st_, increment_from_view(view, st_), DesignConfig(seed=0), Replay([0.4]))
+        with pytest.raises(ContractError):
+            increment_from_view(view, st_)

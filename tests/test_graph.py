@@ -25,7 +25,7 @@ from netrand import (
     scale_weights,
     write_edge_list,
 )
-from netrand.graph import _MAX_DENSE_NODES, _TILE, _mirror_upper
+from netrand.graph import _EXACT_LIMIT, _MAX_DENSE_NODES, _TILE, _mirror_upper, check_exact_bound
 
 
 def complete_graph(n):
@@ -186,6 +186,11 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError):
             from_edge_list(["# only comments", "   "])
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"\xef\xbb\xbfa b\nb a\na c\n")
+        assert from_edge_list(path).labels == ("a", "b", "c")
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_bytes(b"a b\n\xff\xfe c\n")
@@ -257,12 +262,29 @@ class TestCsrGraph:
         assert isinstance(g, CsrGraph) and g.n == n and g.indices.shape == (2 * (n - 1),)
         with pytest.raises(ParameterError, match="dense-storage limit"):
             g.to_dense()
+        k = _MAX_DENSE_NODES + 2
+        big = induced_subgraph_sample(g, k, seed=0)
+        idx = np.random.default_rng(0).permutation(n)[:k]
+        assert isinstance(big, CsrGraph) and big.n == k
+        # the sampled path edges are the consecutive labels that were both drawn
+        assert big.indices.shape[0] == 2 * np.isin(idx + 1, idx).sum()
         with pytest.raises(ParameterError, match="dense-storage limit"):
-            induced_subgraph_sample(g, _MAX_DENSE_NODES + 2, seed=0)
+            big.to_dense()
         s = induced_subgraph_sample(g, 100, seed=3)
         idx = np.random.default_rng(3).permutation(n)[:100]
         assert s.labels == tuple(str(i) for i in idx.tolist())
         assert np.array_equal(s.matrix, np.abs(idx[:, None] - idx[None, :]) <= 1)
+
+    def test_matvec_restricted_to_prefix(self):
+        g = gen_er(ErParams(23, 0.3), seed=5)
+        v = np.arange(1.0, 24.0)
+        for k in (0, 1, 10, 23):
+            got = RevealedView(csr_of(g), revealed=k).matvec(v[:k])
+            assert np.array_equal(got, g.matrix[:k, :k].astype(np.float64) @ v[:k])
+
+    def test_density_counts_stored_entries(self):
+        g = gen_er(ErParams(40, 0.2), seed=1)
+        assert density(csr_of(g)) == density(g) == int(np.triu(g.matrix, 1).sum()) / (40 * 39 / 2)
 
     def test_generators_check_dense_cap_first(self):
         with pytest.raises(ParameterError, match="dense-storage limit"):
@@ -353,6 +375,35 @@ class TestEdgeListAgainstDenseFill:
             assert got.matrix.tobytes() == ref.tobytes() and got.labels == labels
 
 
+class TestExactBound:
+    def test_bound_reached_rejected(self):
+        # (d + 1)^2 = 2^52 for each of the two top nodes: the sum reaches 2^53
+        d = 2**26 - 1
+        degrees = np.array([3, d, 0, d, 5], dtype=np.int64)
+        with pytest.raises(ParameterError, match="2\\^53"):
+            check_exact_bound(degrees, 2)
+        with pytest.raises(ParameterError):
+            check_exact_bound(degrees, 5)
+
+    def test_bound_below_accepted(self):
+        d = 2**26 - 1
+        check_exact_bound(np.array([3, d, 0, d - 1, 5], dtype=np.int64), 2)
+        check_exact_bound(np.array([3, d, 0, 1, 5], dtype=np.int64), 5)
+        assert (d + 1) ** 2 + d**2 < _EXACT_LIMIT
+
+    def test_largest_degrees_bound_every_sample(self):
+        # a star with a path: any 20-node sample and any signs stay below the top-20 bound
+        g = from_edge_list(path_lines(50) + [f"0 {v}" for v in range(2, 50, 3)])
+        bound = sum(int(d + 1) ** 2 for d in np.sort(g.degrees)[-20:])
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            s = induced_subgraph_sample(g, 20, seed)
+            tau = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+            rows = np.repeat(np.arange(s.n), s.degrees)
+            signed = tau + np.bincount(rows, weights=tau[s.indices], minlength=s.n)
+            assert signed @ signed <= bound
+
+
 class TestInducedSample:
     def test_full_sample_is_permutation(self):
         g = gen_er(ErParams(30, 0.4), seed=4)
@@ -420,17 +471,16 @@ class TestDensity:
 class TestRevealedView:
     def test_prefix_enforced(self):
         g = gen_er(ErParams(10, 0.5), seed=0)
-        view = RevealedView(g)
-        view.reveal_to(4)
-        assert np.array_equal(view.pair_rows(2), g.matrix[2:4, :4])
-        with pytest.raises(ContractError):
-            view.pair_rows(3)
-        with pytest.raises(ContractError):
-            view.pair_rows(4)
-        with pytest.raises(ContractError):
-            view.pair_rows(-1)
-        with pytest.raises(ContractError):
-            view.matvec(np.ones(5))
+        for view in (RevealedView(g), RevealedView(csr_of(g))):
+            view.reveal_to(4)
+            cols, vals, diag, corner = view.pair_neighbours(2)
+            assert np.array_equal(vals, g.matrix[2:4, :2][:, cols])
+            assert (diag, corner) == (1, g.matrix[2, 3])
+            for length in (3, 4, -1, -2):
+                with pytest.raises(ContractError):
+                    view.pair_neighbours(length)
+            with pytest.raises(ContractError):
+                view.matvec(np.ones(5))
 
     def test_matvec_is_prefix_product(self):
         g = gen_goe(GoeParams(9, 0.5), seed=3)
@@ -448,29 +498,37 @@ class TestRevealedView:
         ids=["binary", "weighted"],
     )
     def test_pair_neighbours_are_nonzero_pair_row_columns(self, g):
-        view = RevealedView(g, revealed=g.n)
-        for length in range(g.n - 1):
-            cols, vals = view.pair_neighbours(length)
-            rows = view.pair_rows(length)[:, :length]
-            want = np.flatnonzero((rows != 0).any(axis=0))
-            assert cols.dtype.kind == "i" and np.array_equal(cols, want)
-            assert vals.dtype == g.matrix.dtype and np.array_equal(vals, rows[:, want])
-            assert not np.delete(rows, cols, axis=1).any()
+        # dense storage reads every prefix column; neighbour lists exactly the nonzero ones
+        views = [(RevealedView(g, revealed=g.n), False)]
+        if not g.weighted:
+            views.append((RevealedView(csr_of(g), revealed=g.n), True))
+        for view, exact in views:
+            for length in range(0, g.n - 1, 2):
+                cols, vals, diag, corner = view.pair_neighbours(length)
+                rows = g.matrix[length:length + 2, :length]
+                want = np.flatnonzero((rows != 0).any(axis=0))
+                assert vals.dtype == g.matrix.dtype and np.array_equal(vals, rows[:, cols])
+                assert np.isin(want, np.arange(length)[cols]).all()
+                if exact:
+                    assert cols.dtype.kind == "i" and np.array_equal(cols, want)
+                assert diag == g.matrix[length, length] and corner == g.matrix[length, length + 1]
 
     def test_pair_neighbours_empty_without_links(self):
-        view = RevealedView(identity_graph(8), revealed=8)
-        for length in range(7):
-            cols, vals = view.pair_neighbours(length)
-            assert cols.shape == (0,) and vals.shape == (2, 0)
+        for n in (8, 9):
+            view = RevealedView(csr_of(identity_graph(n)), revealed=n)
+            for length in range(0, n - 1, 2):
+                cols, vals, diag, corner = view.pair_neighbours(length)
+                assert cols.shape == (0,) and vals.shape == (2, 0) and (diag, corner) == (1, 0)
 
     def test_pair_neighbours_prefix_enforced(self):
         g = complete_graph(10)
-        view = RevealedView(g, revealed=4)
-        cols, vals = view.pair_neighbours(2)
-        assert np.array_equal(cols, [0, 1]) and np.array_equal(vals, g.matrix[2:4, :2])
-        for length in (3, 4, 8, -1):
-            with pytest.raises(ContractError):
-                view.pair_neighbours(length)
+        for view in (RevealedView(g, revealed=4), RevealedView(csr_of(g), revealed=4)):
+            cols, vals, diag, corner = view.pair_neighbours(2)
+            assert np.array_equal(np.arange(2)[cols], [0, 1])
+            assert np.array_equal(vals, g.matrix[2:4, :2]) and (diag, corner) == (1, 1)
+            for length in (3, 4, 8, -1):
+                with pytest.raises(ContractError):
+                    view.pair_neighbours(length)
 
     def test_cannot_unreveal(self):
         view = RevealedView(gen_er(ErParams(6, 0.5), seed=0), revealed=4)

@@ -10,8 +10,10 @@ from netrand import (
     OutcomeParams,
     ParameterError,
     analytic_variance,
+    from_edge_list,
     gen_er,
     imbalance_recompute,
+    induced_subgraph_sample,
     run_design,
     simulate_outcomes,
     unbiasedness_check,
@@ -26,6 +28,12 @@ def complete_graph(n):
     return Graph(np.ones((n, n), dtype=np.uint8))
 
 
+def edge_lines(g):
+    """Edge-list lines of a binary graph, with a self-loop line per node so none is dropped."""
+    rows, cols = np.nonzero(np.triu(g.matrix))
+    return [f"{i} {j}" for i, j in zip(rows.tolist(), cols.tolist())]
+
+
 def balanced_tau(n):
     return np.resize([1.0, -1.0], n)
 
@@ -37,6 +45,15 @@ class TestSimulateOutcomes:
         out = simulate_outcomes(g, balanced_tau(20), params, np.random.default_rng(0))
         assert set(np.unique(out.x)) == {1.5, 3.0}
         assert out.w == pytest.approx(1.5)
+
+    def test_neighbour_lists_match_dense(self):
+        g = gen_er(ErParams(31, 0.2), seed=4)
+        csr = induced_subgraph_sample(from_edge_list(edge_lines(g)), 31, seed=0)
+        dense = csr.to_dense()
+        params = OutcomeParams(mu0=1.0, mu1=0.0, sigma_z=1.0, sigma_eps=0.5)
+        a, b = (simulate_outcomes(h, balanced_tau(31), params, np.random.default_rng(7))
+                for h in (csr, dense))
+        assert np.allclose(a.x, b.x, rtol=0, atol=1e-12) and a.w == pytest.approx(b.w, abs=1e-12)
 
     def test_identity_graph_outcome_variance(self):
         n = 400

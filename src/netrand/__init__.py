@@ -30,6 +30,7 @@ from .design import (
     DesignResult,
     imbalance_recompute,
     run_design,
+    run_design_final,
     run_design_many,
 )
 from .outcome import OutcomeParams, TrialOutcome, analytic_variance, simulate_outcomes, unbiasedness_check

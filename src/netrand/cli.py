@@ -6,14 +6,17 @@ input-data failure or a failed self-check (``oracle``), 2 usage error.
 
 Each CSV schema is one column list; a row's cell for a column is the record's
 attribute named by the lower-cased column (``I`` -> ``i``, ``W`` -> ``w``).
+``assign`` formats its cells column by column instead, in the same form.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
+import re
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -45,7 +48,6 @@ REAL_SUMMARY_COLUMNS = [
 ASSIGN_COLUMNS = ["index", "node_id", "treatment", "I"]
 
 RealSummaryRow = namedtuple("RealSummaryRow", [c.lower() for c in REAL_SUMMARY_COLUMNS])
-AssignRow = namedtuple("AssignRow", [c.lower() for c in ASSIGN_COLUMNS])
 
 
 def _fmt(value) -> str:
@@ -57,18 +59,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open_out(path):
+    """``path`` opened for CSV text, or stdout when it is empty."""
+    if path:
+        return open(path, "w", newline="", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _write_csv(path, columns, records) -> None:
     """Header plus one row per record, to ``path`` or to stdout when it is empty."""
     attrs = [c.lower() for c in columns]
-    if path:
-        sink = open(path, "w", newline="", encoding="utf-8")
-    else:
-        sink = contextlib.nullcontext(sys.stdout)
-    with sink as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for rec in records:
             writer.writerow([_fmt(getattr(rec, a)) for a in attrs])
+
+
+def _csv_cells(texts) -> list[str]:
+    """``texts`` as the csv module writes them: quoted, quotes doubled, where a cell needs it."""
+    needs = re.compile(r'[,"\r\n]').search
+    if not needs("".join(texts)):
+        return list(texts)
+    return ['"' + t.replace('"', '""') + '"' if needs(t) else t for t in texts]
 
 
 def _summary_path(out: str) -> str:
@@ -179,18 +192,13 @@ def cmd_assign(args) -> int:
     if args.order == "random":
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
     res = run_design(g, cfg)
-    i_by_pair = np.sqrt(res.i2_trajectory.astype(np.float64))
-    last_pair = len(i_by_pair) - 1
-    rows = (
-        AssignRow(
-            idx,
-            g.labels[idx],
-            0 if res.tau[idx] > 0 else 1,
-            float(i_by_pair[min(idx // 2, last_pair)]),
-        )
-        for idx in range(g.n)
-    )
-    _write_csv(args.out, ASSIGN_COLUMNS, rows)
+    # Each pair's I is formatted once; an odd trailing subject repeats the last pair's.
+    i_cells = [repr(i) for i in np.sqrt(res.i2_trajectory.astype(np.float64)).tolist()]
+    i_rows = [cell for cell in i_cells for _ in range(2)] + i_cells[-1:] * (g.n % 2)
+    treatment = np.where(res.tau > 0, "0", "1").tolist()
+    rows = zip(map(str, range(g.n)), _csv_cells(g.labels), treatment, i_rows)
+    with _open_out(args.out) as fh:
+        fh.write("\r\n".join(map(",".join, itertools.chain([ASSIGN_COLUMNS], rows))) + "\r\n")
     return 0
 
 

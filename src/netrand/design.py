@@ -12,6 +12,11 @@ is an integer below 2**53 (the dense cap bounds it on a ``Graph``, and
 ``graph.check_exact_bound`` on neighbour lists), so the arithmetic is exact and the
 incremental squared imbalance equals a from-scratch recomputation, as
 integers, at every step.
+
+Where every coin is fair (the random policy, or b = 1/2) on a binary graph,
+the signs depend on the uniforms alone: :func:`run_design_final` and
+:func:`run_design_many` then take no per-pair loop, and read the final I^2
+from one exact recomputation.
 """
 from __future__ import annotations
 
@@ -206,22 +211,78 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
     return DesignResult(tau, trajectory, int(trajectory[-1]))
 
 
+def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray, int | float]:
+    """``tau`` and ``final_i2`` of :func:`run_design` on ``cfg``'s seed, without its loop where it can.
+
+    Where every coin is fair on a binary graph (:func:`_fair_coin`), ``tau``
+    comes from the uniforms the loop would compare with 1/2, in the same
+    order, and the final I^2 from one exact recompute over the paired
+    subjects.  Otherwise it runs :func:`run_design`.
+    """
+    if not _fair_coin(g, cfg):
+        res = run_design(g, cfg)
+        return res.tau, res.final_i2
+    n = g.n
+    if n < 2:
+        raise ParameterError("design needs at least 2 subjects")
+    rng = np.random.default_rng(cfg.seed)
+    pairs = n // 2
+    tau = np.empty(n, dtype=np.int8)
+    tau[: 2 * pairs] = _fair_pairs(rng.random(pairs))
+    if n % 2:
+        tau[-1] = 1 if rng.random() < 0.5 else -1
+    return tau, imbalance_recompute(g, tau, 2 * pairs)
+
+
+def _fair_coin(g: Graph | CsrGraph, cfg: DesignConfig) -> bool:
+    """Whether ``cfg``'s coin is fair on every pair of ``g`` and ``tau`` may skip the loop.
+
+    At effective b = 1/2 each pair's coin is fair whatever its candidates are,
+    so ``tau`` depends on the uniforms alone.  Weighted graphs keep the loop:
+    a recompute rounds differently from the incremental sums, and their
+    outputs are pinned.
+    """
+    return cfg.effective_b == 0.5 and not g.weighted
+
+
+def _fair_pairs(u: np.ndarray) -> np.ndarray:
+    """Signs of the subjects of the pairs whose uniforms are ``u``, pairs along axis 0.
+
+    A pair gets (+1, -1) when its uniform is below 1/2, as in both loops.
+    """
+    first = np.where(u < 0.5, 1.0, -1.0)
+    return np.stack([first, -first], axis=1).reshape(2 * u.shape[0], *u.shape[1:])
+
+
 def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
     """Squared imbalance of a sign prefix by direct multiplication.
 
-    Reference checker for the incremental path: computes the squared norm of
-    A^(upto) tau[:upto].  Returns an int for binary graphs.
+    Reference checker for the incremental path, and the fair-coin arms' one
+    recompute: the squared norm of A^(upto) tau[:upto], or of each column of
+    a (n, r) block of signs.  Returns an int for binary graphs (int64 per
+    column of a block); a sign vector is multiplied in integers
+    (:meth:`RevealedView.matvec`), so it is exact with no float copy of a
+    dense matrix.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim != 1:
-        raise ContractError("sign vector must be one-dimensional")
+    if tau.ndim not in (1, 2):
+        raise ContractError("signs must be a vector or a block of columns")
     if upto is None:
         upto = tau.shape[0]
     if upto < 1 or upto > g.n or upto > tau.shape[0]:
         raise ContractError(f"prefix length {upto} invalid for n={g.n}, tau={tau.shape[0]}")
-    s = RevealedView(g, upto).matvec(tau[:upto])
-    total = float(s @ s)
-    return total if g.weighted else int(round(total))
+    prefix = tau[:upto]
+    if not np.isin(prefix, (-1.0, 1.0)).all():
+        raise ContractError("signs must be +1 or -1")
+    view = RevealedView(g, upto)
+    if tau.ndim == 1 and not g.weighted:
+        s = view.matvec(prefix.astype(np.int8))
+        return int(s @ s)
+    s = view.matvec(prefix)
+    if tau.ndim == 1:
+        return float(s @ s)
+    totals = (s * s).sum(axis=0)
+    return totals if g.weighted else np.asarray(np.rint(totals), dtype=np.int64)
 
 
 def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:
@@ -238,6 +299,9 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     ``c - d`` (pair gets (1,0)), so the coin is decided by the sign of d.
     Returns int64 for binary graphs, float64 for weighted ones.  The odd-n
     convention applies: a trailing unpaired subject never changes the value.
+    A fair coin on a binary graph (:func:`_fair_coin`) takes no loop: the
+    signs come from the same uniforms, drawn as one (pairs, reps) block, and
+    each replicate's I^2 from one recompute.
     """
     n = g.n
     if n < 2:
@@ -246,6 +310,9 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
         raise ParameterError("reps must be at least 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    if _fair_coin(g, cfg):
+        # The loop's per-pair rng.random(reps) blocks, drawn at once in row order.
+        return imbalance_recompute(g, _fair_pairs(rng.random((n // 2, reps))))
     bias = cfg.effective_b - 0.5
     n2 = n - (n % 2)
     view = RevealedView(g)

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ParameterError
 from . import graph as graphmod
 from .graph import CsrGraph, ErParams, GoeParams, Graph, SbmParams
-from .design import ADAPTIVE, RANDOM, DesignConfig, run_design, run_design_many
+from .design import ADAPTIVE, RANDOM, DesignConfig, run_design_final, run_design_many
+from .design import run_design  # noqa: F401  bound here for bench/test_bench.py's tracer test
 from .outcome import OutcomeParams, simulate_outcomes
 
 _Z95 = 1.959963984540054  # normal-approximation 95% interval half-width multiplier
@@ -40,19 +41,17 @@ def random_design_expected_i2(n: int, p: float) -> float:
 
 
 def adaptive_fourth_moment_bound(p: float, b: float) -> float:
-    """Asymptotic upper bound on E[I^4]/n^4 for the adaptive policy on ER(n, p).
+    """Asymptotic value of E[I^4]/n^4 for the adaptive policy on ER(n, p): q^2 r(b)^4.
 
-    At b = 1/2 the reduction term vanishes and the bound equals p^2 (1-p)^2.
-    The bound is valid but not sharp: the limit is q^2 r(b)^4 with
-    q = p(1-p) and r(b) as in ``goe_fourth_moment_bound`` (see DECISIONS.md).
+    q = p(1-p) and r(b) is as in ``goe_fourth_moment_bound``: the GOE
+    derivation carries over with sigma^2 -> q (DECISIONS.md D2).  The limit is
+    sharp, so a check against it tells b = 0.95 from a weaker coin.  At
+    b = 1/2 it equals q^2, the random-policy value.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie in (0, 1)")
-    if not 0.5 <= b <= 1.0:
-        raise ParameterError("b must lie in [1/2, 1]")
     q = p * (1.0 - p)
-    t = 2.0 * b - 1.0
-    return q * q - 0.125 * t * (2.0 - math.sqrt(2.0) * t) ** 1.5 * q**2.5
+    return q * q * goe_fourth_moment_bound(b)
 
 
 def goe_fourth_moment_bound(b: float) -> float:
@@ -288,11 +287,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             outcome_streams = {ADAPTIVE: out_a_ss, RANDOM: out_b_ss}
             for policy in spec.policies:
                 cfg = DesignConfig(policy=policy, b=spec.b, seed=design_ss)
-                result = run_design(g, cfg)
+                tau, final_i2 = run_design_final(g, cfg)
                 w = None
                 if spec.outcome is not None:
                     out_rng = np.random.default_rng(outcome_streams[policy])
-                    w = simulate_outcomes(g, result.tau, spec.outcome, out_rng).w
+                    w = simulate_outcomes(g, tau, spec.outcome, out_rng).w
                 rows.append(
                     ResultRow(
                         model=spec.model,
@@ -304,7 +303,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         p_out=getattr(params, "p_out", None),
                         sigma2=getattr(params, "sigma2", None),
                         replicate=rep,
-                        i2=result.final_i2,
+                        i2=final_i2,
                         w=w,
                         seed=spec.seed,
                         density=dens,

@@ -57,6 +57,14 @@ GOLDEN = {
         ["assign", "--edges", "EDGES", "--order", "random", "--b", "0.9", "--seed", "15"],
         {"out.csv": "9c4a2706f17ae7bfd05c1152db7cad67eeb3a15cc57002d985e015ba93a7177c"},
     ),
+    "simulate-er-random": (
+        ["simulate", "--model", "er", "--n", "40", "--n", "60", "--p", "0.3",
+         "--policy", "random", "--reps", "3", "--seed", "4"],
+        {
+            "out.csv": "caeb44954e602424e26b69ca7eec7926fbd779ef56991e4c81c3f968f3f65bdd",
+            "out.summary.csv": "b3cd37d64ec2447be163291f7e531eb5583820a6a11fb846603e7d1af40ed080",
+        },
+    ),
     "oracle": (
         ["oracle", "--n", "10", "--p", "0.4", "--mc-reps", "2000"],
         {"stdout": "f125cdfe8c77bf4ba907d174880f833f29304739b33aa9dbf377d5a8e9c9fa1c"},
@@ -264,6 +272,24 @@ class TestAssign:
         main(["assign", "--edges", str(edges), "--out", str(out)])
         assert [r["node_id"] for r in read_csv(out)] == ["x", "y", "z"]
 
+    def test_labels_needing_quotes_are_quoted(self, tmp_path):
+        edges = tmp_path / "net.txt"
+        edges.write_text('a,b x"y\nx"y plain\n')
+        out = tmp_path / "a.csv"
+        assert main(["assign", "--edges", str(edges), "--out", str(out)]) == 0
+        raw = out.read_bytes().decode("utf-8")
+        lines = raw.split("\r\n")
+        assert lines[1].startswith('0,"a,b",') and lines[2].startswith('1,"x""y",')
+        assert lines[3].startswith("2,plain,") and lines[4] == ""
+        rows = read_csv(out)
+        assert [r["node_id"] for r in rows] == ["a,b", 'x"y', "plain"]
+        # the same bytes the csv module writes for these cells
+        with open(tmp_path / "b.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cli.ASSIGN_COLUMNS)
+            writer.writerows(r.values() for r in rows)
+        assert (tmp_path / "b.csv").read_bytes().decode("utf-8") == raw
+
     def test_byte_order_mark_dropped(self, tmp_path):
         edges = tmp_path / "bom.txt"
         edges.write_bytes(b"\xef\xbb\xbfa b\nb a\na c\n")
@@ -353,7 +379,7 @@ class TestRejectedBeforeWork:
         def forbidden(*args, **kwargs):
             raise AssertionError("a replicate started before every cell was resolved")
 
-        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        monkeypatch.setattr(montecarlo, "run_design_final", forbidden)
         monkeypatch.setattr(graph, "gen_er", forbidden)
         rc = main([
             "simulate", "--model", "er", "--n", "1200", "--n", "2",
@@ -391,7 +417,7 @@ class TestRejectedBeforeWork:
 
         monkeypatch.setattr(graph, "check_exact_bound", fed)
         monkeypatch.setattr(cli, "run_design", forbidden)
-        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        monkeypatch.setattr(montecarlo, "run_design_final", forbidden)
         monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
         edges = tmp_path / "net.txt"
         edges.write_text("a b\nb c\nc d\n")
@@ -420,12 +446,12 @@ class TestAboveDenseCap:
     def test_above_dense_cap_runs_exactly(self, tmp_path, monkeypatch, path_above_cap, case):
         designs = []
 
-        def recording(g, cfg, **kwargs):
-            designs.append((g.labels, run_design(g, cfg, **kwargs)))
+        def recording(g, cfg):
+            designs.append((g.labels, run_design_final(g, cfg)))
             return designs[-1][1]
 
-        run_design = montecarlo.run_design
-        monkeypatch.setattr(montecarlo, "run_design", recording)
+        run_design_final = montecarlo.run_design_final
+        monkeypatch.setattr(montecarlo, "run_design_final", recording)
         out = tmp_path / "x.csv"
         k = graph._MAX_DENSE_NODES + 2
         argv = {
@@ -440,8 +466,8 @@ class TestAboveDenseCap:
         rows = read_csv(out)
         if case == "real-sample":
             assert [r["policy"] for r in rows] == ["adaptive", "random"] and len(designs) == 2
-            for row, (labels, res) in zip(rows, designs):
-                assert int(row["I2"]) == path_imbalance2(labels, res.tau) == res.final_i2
+            for row, (labels, (tau, final_i2)) in zip(rows, designs):
+                assert int(row["I2"]) == path_imbalance2(labels, tau) == final_i2
                 assert row["n"] == str(k)
         else:
             n = graph._MAX_DENSE_NODES + 7232

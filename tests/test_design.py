@@ -21,6 +21,7 @@ from netrand import (
     gen_goe,
     gen_sbm,
     imbalance_recompute,
+    induced_subgraph_sample,
     run_design,
     run_design_many,
     scale_weights,
@@ -58,7 +59,8 @@ def batched_and_scalar(g, cfg, reps, rec):
     """``run_design_many`` finals, and ``run_design`` fed column r of its draws per replicate."""
     first = len(rec.blocks)
     finals = run_design_many(g, cfg, reps, rng=rec)
-    draws = np.stack(rec.blocks[first:])
+    # one (reps,) block per pair from the loop, or one (pairs, reps) block from the fair-coin arm
+    draws = np.concatenate([b.reshape(-1, reps) for b in rec.blocks[first:]])
     assert draws.shape == (g.n // 2, reps)
     # the scalar loop also draws a fair coin for an odd trailing subject
     tail = [0.5] * (g.n % 2)
@@ -517,3 +519,50 @@ def test_pair_read_outside_prefix_rejected_on_both_storages():
             step(st_, increment_from_view(view, st_), DesignConfig(seed=0), Replay([0.4]))
         with pytest.raises(ContractError):
             increment_from_view(view, st_)
+
+
+@st.composite
+def binary_graphs(draw):
+    """Dense ER and SBM graphs and neighbour-list samples from 2 to 2000 nodes, odd n included."""
+    kind = draw(st.sampled_from(["er", "sbm", "sample"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "sample":
+        source = draw(edge_lists())
+        return induced_subgraph_sample(source, draw(st.integers(2, source.n)), seed)
+    n = draw(st.integers(2, 120))
+    if kind == "er":
+        return gen_er(ErParams(n, draw(st.sampled_from([0.05, 0.3, 0.9]))), seed)
+    return gen_sbm(SbmParams(n, 0.5, 0.1), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_graphs(), st.sampled_from([(RANDOM, 0.85), (ADAPTIVE, 0.5)]), st.integers(0, 100_000))
+def test_fair_coin_arm_matches_both_loops(g, policy_b, seed):
+    cfg = DesignConfig(*policy_b, seed=seed)
+    tau, final_i2 = design.run_design_final(g, cfg)
+    res = run_design(g, cfg)
+    assert tau.dtype == res.tau.dtype and np.array_equal(tau, res.tau)
+    assert type(final_i2) is int and final_i2 == res.final_i2
+    loop_free = run_design_many(g, cfg, 6, rng=np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_fair_coin", lambda g, cfg: False)
+        loop = run_design_many(g, cfg, 6, rng=np.random.default_rng(seed))
+    assert loop_free.dtype == loop.dtype == np.int64
+    assert np.array_equal(loop_free, loop)
+
+
+def test_weighted_fair_coin_keeps_the_loop(monkeypatch):
+    g = gen_goe(GoeParams(15, 0.4), seed=3)
+    cfg = DesignConfig(ADAPTIVE, b=0.5, seed=4)
+    calls = []
+
+    def recording(g, cfg):
+        calls.append(cfg)
+        return run_design(g, cfg)
+
+    monkeypatch.setattr(design, "run_design", recording)
+    tau, final_i2 = design.run_design_final(g, cfg)
+    assert calls == [cfg] and isinstance(final_i2, float)
+    rec = Recorder(5)
+    run_design_many(g, cfg, 4, rng=rec)
+    assert [b.shape for b in rec.blocks] == [(4,)] * 7

@@ -282,6 +282,19 @@ class TestCsrGraph:
             got = RevealedView(csr_of(g), revealed=k).matvec(v[:k])
             assert np.array_equal(got, g.matrix[:k, :k].astype(np.float64) @ v[:k])
 
+    def test_matvec_of_a_block_and_of_int8_signs(self):
+        g = gen_er(ErParams(23, 0.3), seed=5)
+        signs = np.where(np.random.default_rng(6).random((23, 4)) < 0.5, 1.0, -1.0)
+        for h in (g, csr_of(g)):
+            for k in (1, 10, 23):
+                view, a = RevealedView(h, revealed=k), g.matrix[:k, :k]
+                assert np.array_equal(view.matvec(signs[:k]), a.astype(np.float64) @ signs[:k])
+                got = view.matvec(signs[:k, 0].astype(np.int8))
+                assert got.dtype == np.int64
+                assert np.array_equal(got, a.astype(np.int64) @ signs[:k, 0].astype(np.int64))
+            with pytest.raises(ContractError):
+                RevealedView(h, revealed=10).matvec(signs[:9])
+
     def test_density_counts_stored_entries(self):
         g = gen_er(ErParams(40, 0.2), seed=1)
         assert density(csr_of(g)) == density(g) == int(np.triu(g.matrix, 1).sum()) / (40 * 39 / 2)

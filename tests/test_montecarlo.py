@@ -59,9 +59,14 @@ class TestFourthMomentBounds:
             assert adaptive_fourth_moment_bound(p, 0.5) == pytest.approx(p**2 * (1 - p) ** 2)
 
     def test_er_reference_value(self):
-        got = adaptive_fourth_moment_bound(0.2, 0.95)
-        assert got == pytest.approx(0.024885601940392302, abs=1e-15)
-        assert got < 0.0256
+        # pinned limits q^2 r^4 at p = 0.2 (q = 0.16), r the positive root of
+        # 2 r^2 + alpha r - 2 = 0 (DECISIONS.md D2); each pin is checked against that root
+        for b, pinned in ((0.55, 0.022868705296839525), (0.95, 0.009371340967410862),
+                          (1.0, 0.00840365683138621)):
+            alpha = 2.0 * (2.0 * b - 1.0) / math.sqrt(math.pi)
+            root = max(np.roots([2.0, alpha, -2.0]).real)
+            assert pinned == pytest.approx(0.16**2 * root**4, rel=1e-12)
+            assert adaptive_fourth_moment_bound(0.2, b) == pytest.approx(pinned, abs=1e-15)
 
     def test_er_strictly_below_no_reduction_level(self):
         for b in np.linspace(0.55, 1.0, 10):
@@ -137,7 +142,7 @@ class TestRunExperiment:
 
         source = from_edge_list([f"{i} {i + 1}" for i in range(59)])
         dense = gen_er(ErParams(60, 0.2), seed=1)
-        monkeypatch.setattr(montecarlo, "run_design", forbidden)
+        monkeypatch.setattr(montecarlo, "run_design_final", forbidden)
         monkeypatch.setattr(graph, "gen_er", forbidden)
         monkeypatch.setattr(graph, "induced_subgraph_sample", forbidden)
         spec = {

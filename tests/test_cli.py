@@ -21,9 +21,10 @@ def write_er_fixture(path, n=60, p=0.15, seed=3):
     return g
 
 
-# sha256 of small CLI outputs, recorded with numpy 2.4.6.  Only binary graphs and
-# no W column: every cell comes from exact integer arithmetic and short fixed-order
-# float reductions, not BLAS float sums, so these bytes hold while the streams do.
+# sha256 of small CLI outputs, recorded with numpy 2.4.6.  Most cells come from exact
+# integer arithmetic and short fixed-order float reductions, so these bytes hold
+# while the streams do.  The GOE entry pins the weighted I2 and the W column, which
+# gave the same bytes with one and with two BLAS threads.
 # "stdout" names the printed report of a command that writes no file.
 GOLDEN = {
     "simulate-er": (
@@ -63,6 +64,15 @@ GOLDEN = {
         {
             "out.csv": "caeb44954e602424e26b69ca7eec7926fbd779ef56991e4c81c3f968f3f65bdd",
             "out.summary.csv": "b3cd37d64ec2447be163291f7e531eb5583820a6a11fb846603e7d1af40ed080",
+        },
+    ),
+    "simulate-goe-outcomes": (
+        ["simulate", "--model", "goe", "--n", "24", "--n", "30", "--sigma2", "0.2",
+         "--mu0", "1", "--mu1", "0", "--sigma-z", "1", "--sigma-eps", "1",
+         "--reps", "3", "--seed", "16"],
+        {
+            "out.csv": "da773a2c201f1ebf2615eb44718f0551b054b9238e2996b164ed01c69d4c7294",
+            "out.summary.csv": "7c14bbdb5ee3b576be339a8005dae381b5f06c581fa1878bb77e0bdf177be223",
         },
     ),
     "oracle": (

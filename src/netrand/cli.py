@@ -6,19 +6,14 @@ input-data failure or a failed self-check (``oracle``), 2 usage error.
 
 Each CSV schema is one column list; a row's cell for a column is the record's
 attribute named by the lower-cased column (``I`` -> ``i``, ``W`` -> ``w``).
-``assign`` formats its cells column by column instead, in the same form.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import itertools
 import math
 import os
-import re
 import sys
-from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,8 +42,6 @@ REAL_SUMMARY_COLUMNS = [
 ]
 ASSIGN_COLUMNS = ["index", "node_id", "treatment", "I"]
 
-RealSummaryRow = namedtuple("RealSummaryRow", [c.lower() for c in REAL_SUMMARY_COLUMNS])
-
 
 def _fmt(value) -> str:
     """Numeric cell formatting: full-precision repr so integers stay exact."""
@@ -59,29 +52,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_out(path):
-    """``path`` opened for CSV text, or stdout when it is empty."""
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
+def _write_csv(path, columns, cells) -> None:
+    """Header plus rows, to ``path`` or to stdout when it is empty, as ``csv.writer`` writes them.
+
+    ``cells`` holds one list of cell texts per column.  The header, and each column,
+    is searched once as joined text; only when that finds a comma, a quote or a line
+    break are its cells checked, and those holding one quoted with quotes doubled.
+    Every line ends in CRLF.
+    """
+    def quoted(texts):
+        if not _needs_quotes("".join(texts)):
+            return texts
+        return ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in texts]
+
+    lines = map(",".join, itertools.chain([quoted(columns)], zip(*map(quoted, cells))))
+    text = "\r\n".join(lines) + "\r\n"
     if path:
-        return open(path, "w", newline="", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    else:
+        sys.stdout.write(text)
 
 
-def _write_csv(path, columns, records) -> None:
-    """Header plus one row per record, to ``path`` or to stdout when it is empty."""
-    attrs = [c.lower() for c in columns]
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, a)) for a in attrs])
-
-
-def _csv_cells(texts) -> list[str]:
-    """``texts`` as the csv module writes them: quoted, quotes doubled, where a cell needs it."""
-    needs = re.compile(r'[,"\r\n]').search
-    if not needs("".join(texts)):
-        return list(texts)
-    return ['"' + t.replace('"', '""') + '"' if needs(t) else t for t in texts]
+def _record_cells(columns, records) -> list[list[str]]:
+    """Per column, each record's attribute named by the lower-cased column, formatted."""
+    return [[_fmt(getattr(rec, c.lower())) for rec in records] for c in columns]
 
 
 def _summary_path(out: str) -> str:
@@ -92,8 +90,11 @@ def _summary_path(out: str) -> str:
 
 
 def _check_outputs(*paths) -> None:
-    """Reject output paths whose directory is missing or unwritable, before any work."""
-    for path in filter(None, paths):
+    """Reject output paths that coincide, or whose directory is missing or unwritable."""
+    paths = list(filter(None, paths))
+    if len({Path(path).resolve() for path in paths}) < len(paths):
+        raise ParameterError(f"output paths {paths} coincide; one file would overwrite the other")
+    for path in paths:
         parent = Path(path).parent
         if not parent.is_dir():
             raise FileNotFoundError(f"output directory {str(parent)!r} does not exist")
@@ -112,13 +113,11 @@ def _parse_n_values(entries) -> tuple[int, ...]:
             numbers = [int(x) for x in parts]
         except ValueError:
             raise ParameterError(f"size must be an integer, got {entry!r}") from None
-        if len(numbers) == 1:
-            values.append(numbers[0])
-        else:
-            start, stop, step_ = numbers
-            if step_ <= 0 or stop < start:
-                raise ParameterError(f"bad range {entry!r}")
-            values.extend(range(start, stop + 1, step_))
+        # a single size n is the range n:n:1
+        start, stop, step_ = numbers if len(numbers) == 3 else numbers * 2 + [1]
+        if step_ <= 0 or stop < start:
+            raise ParameterError(f"bad range {entry!r}")
+        values.extend(range(start, stop + 1, step_))
     return tuple(values)
 
 
@@ -151,8 +150,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     result = run_experiment(spec)
-    _write_csv(args.out, RESULT_COLUMNS, result.rows)
-    _write_csv(summary_out, SUMMARY_COLUMNS, result.summaries)
+    _write_csv(args.out, RESULT_COLUMNS, _record_cells(RESULT_COLUMNS, result.rows))
+    _write_csv(summary_out, SUMMARY_COLUMNS, _record_cells(SUMMARY_COLUMNS, result.summaries))
     return 0
 
 
@@ -162,7 +161,7 @@ def cmd_real(args) -> int:
     _check_outputs(args.out, summary_out)
     spec = ExperimentSpec(
         model="real",
-        n_values=_parse_n_values(args.n_sweep or [str(args.sample)]),
+        n_values=_parse_n_values(args.sample or ["10000"]),
         policies=(ADAPTIVE, RANDOM),
         b=args.b,
         reps=args.reps,
@@ -175,11 +174,10 @@ def cmd_real(args) -> int:
         a_mean, r_mean = mean_i[k, ADAPTIVE], mean_i[k, RANDOM]
         reduction, zero = relative_reduction(a_mean, r_mean)
         mean_density = float(np.mean([r.density for r in result.rows if r.n == k]))
-        summary_rows.append(RealSummaryRow(
-            k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density
-        ))
-    _write_csv(args.out, REAL_COLUMNS, result.rows)
-    _write_csv(summary_out, REAL_SUMMARY_COLUMNS, summary_rows)
+        row = (k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density)
+        summary_rows.append(list(map(_fmt, row)))
+    _write_csv(args.out, REAL_COLUMNS, _record_cells(REAL_COLUMNS, result.rows))
+    _write_csv(summary_out, REAL_SUMMARY_COLUMNS, list(zip(*summary_rows)))
     return 0
 
 
@@ -196,9 +194,7 @@ def cmd_assign(args) -> int:
     i_cells = [repr(i) for i in np.sqrt(res.i2_trajectory.astype(np.float64)).tolist()]
     i_rows = [cell for cell in i_cells for _ in range(2)] + i_cells[-1:] * (g.n % 2)
     treatment = np.where(res.tau > 0, "0", "1").tolist()
-    rows = zip(map(str, range(g.n)), _csv_cells(g.labels), treatment, i_rows)
-    with _open_out(args.out) as fh:
-        fh.write("\r\n".join(map(",".join, itertools.chain([ASSIGN_COLUMNS], rows))) + "\r\n")
+    _write_csv(args.out, ASSIGN_COLUMNS, [list(map(str, range(g.n))), g.labels, treatment, i_rows])
     return 0
 
 
@@ -266,12 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     real = sub.add_parser("real", help="edge-list ingestion, sampling, both policies")
     real.add_argument("--edges", required=True)
-    real.add_argument("--sample", type=int, default=10000)
+    real.add_argument("--sample", action="append",
+                      help="sample size (default 10000); repeatable, or inclusive range start:stop:step")
     real.add_argument("--b", type=float, default=0.85)
     real.add_argument("--reps", type=int, default=10)
     real.add_argument("--seed", type=int, default=0)
-    real.add_argument("--n-sweep", dest="n_sweep", action="append",
-                      help="sample sizes; repeatable, or inclusive range start:stop:step")
     real.add_argument("--out", required=True)
     real.add_argument("--summary-out", dest="summary_out")
     real.set_defaults(func=cmd_real)
@@ -299,15 +294,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, SizeLimitError) as exc:
+    except (ParameterError, SizeLimitError, EdgeListParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EdgeListParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParameterError, SizeLimitError)) else 1
 
 
 if __name__ == "__main__":

@@ -102,8 +102,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model not in (ER, SBM, GOE, REAL):
             raise ParameterError(f"unknown model {self.model!r}")
+        reads = {ER: ("p", "sparse_log_density"), SBM: ("p_in", "p_out"),
+                 GOE: ("sigma2", "sparse_log_density"), REAL: ("sample_source",)}[self.model]
+        foreign = [f for f in ("p", "p_in", "p_out", "sigma2", "sparse_log_density", "sample_source")
+                   if f not in reads and getattr(self, f) is not None]
+        if foreign:
+            raise ParameterError(f"{self.model} model does not read {', '.join(foreign)}")
         if not self.n_values:
             raise ParameterError("at least one n value required")
+        for name, values in (("n values", self.n_values), ("policies", self.policies)):
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{name} {list(values)} repeat an entry; each cell runs once")
         for n in self.n_values:
             if n < 2:
                 raise ParameterError("all n values must be at least 2")

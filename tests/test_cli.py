@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netrand import ErParams, gen_er, write_edge_list, summarize
 from netrand.montecarlo import ResultRow
@@ -44,7 +46,7 @@ GOLDEN = {
         },
     ),
     "real": (
-        ["real", "--edges", "EDGES", "--n-sweep", "20:40:20", "--reps", "3", "--seed", "13"],
+        ["real", "--edges", "EDGES", "--sample", "20:40:20", "--reps", "3", "--seed", "13"],
         {
             "out.csv": "ac7a5eacb7df5a174edc3e231fcb6b267de3ca8689f6b07bab0beae4aae56c67",
             "out.summary.csv": "003551c92053abc0638e98209b1362d42fac107a8f7de1ad97590c913bdd2585",
@@ -164,6 +166,18 @@ class TestSimulate:
             "--sparse-log-density", "5", "--reps", "1", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+        # a parameter the model never reads, or a size given twice
+        for extra in (
+            ["--model", "sbm", "--p-in", "0.3", "--p-out", "0.1", "--p", "0.3"],
+            ["--model", "er", "--p", "0.2", "--sigma2", "1"],
+            ["--model", "goe", "--sigma2", "0.2", "--p-in", "0.3"],
+            ["--model", "er", "--p", "0.2", "--n", "10"],
+            ["--model", "er", "--p", "0.2", "--n", "6:10:2"],
+        ):
+            rc = main(["simulate", "--n", "10", *extra, "--reps", "1",
+                       "--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_partial_outcome_flags_exit_2(self, tmp_path):
         rc = main([
@@ -216,7 +230,7 @@ class TestReal:
         write_er_fixture(edges)
         out = tmp_path / "sweep.csv"
         rc = main([
-            "real", "--edges", str(edges), "--n-sweep", "20", "--n-sweep", "40",
+            "real", "--edges", str(edges), "--sample", "20", "--sample", "40",
             "--reps", "2", "--seed", "1", "--out", str(out),
         ])
         assert rc == 0
@@ -308,6 +322,24 @@ class TestAssign:
         assert [r["node_id"] for r in read_csv(out)] == ["a", "b", "c"]
 
 
+_CELL_TEXT = st.text(st.sampled_from(["a", "7", ".", ",", '"', "\r", "\n", " ", "é", "节"]),
+                     max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda ncols: st.tuples(
+    st.lists(_CELL_TEXT, min_size=ncols, max_size=ncols),
+    st.lists(st.lists(_CELL_TEXT, min_size=ncols, max_size=ncols), max_size=5),
+)))
+def test_write_csv_matches_csv_module(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(str(path), header, [[row[j] for row in rows] for j in range(len(header))])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([header, *rows])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 @pytest.fixture
 def path_above_cap(tmp_path):
     # a path names every node and parses in well under a second
@@ -352,7 +384,7 @@ class TestRejectedBeforeWork:
         argv = {
             "simulate": ["simulate", "--model", "er", "--n", "11", "--p", "0.3", "--out", out],
             "real": ["real", "--edges", str(edges), "--sample", "11", "--out", out],
-            "real-sweep": ["real", "--edges", str(edges), "--n-sweep", "10:20:5", "--out", out],
+            "real-sweep": ["real", "--edges", str(edges), "--sample", "10:20:5", "--out", out],
         }[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -362,7 +394,8 @@ class TestRejectedBeforeWork:
 
     @pytest.mark.parametrize("case", [
         "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",
-        "sparse-c-zero",
+        "sparse-c-zero", "n-repeated", "n-ranges-overlap", "sample-repeated",
+        "sbm-p", "er-sigma2", "goe-p-in",
     ])
     def test_usage_error_exits_2_before_work(self, tmp_path, capsys, no_work, case):
         edges = tmp_path / "net.txt"
@@ -372,15 +405,40 @@ class TestRejectedBeforeWork:
             "n-word": ["simulate", "--model", "er", "--n", "abc", "--p", "0.2", "--out", out],
             "n-range-word": ["simulate", "--model", "er", "--n", "1:x:2", "--p", "0.2",
                              "--out", out],
-            "n-sweep-word": ["real", "--edges", str(edges), "--n-sweep", "abc", "--out", out],
+            "n-sweep-word": ["real", "--edges", str(edges), "--sample", "abc", "--out", out],
             "real-b": ["real", "--edges", str(edges), "--sample", "2", "--b", "0.3", "--out", out],
             "real-reps": ["real", "--edges", str(edges), "--sample", "2", "--reps", "0",
                           "--out", out],
             "assign-b": ["assign", "--edges", str(edges), "--b", "0.3", "--out", out],
             "sparse-c-zero": ["simulate", "--model", "er", "--n", "10",
                               "--sparse-log-density", "0", "--reps", "1", "--out", out],
+            "n-repeated": ["simulate", "--model", "er", "--n", "20", "--n", "20", "--p", "0.2",
+                           "--out", out],
+            "n-ranges-overlap": ["simulate", "--model", "er", "--n", "10:30:10",
+                                 "--n", "30:50:10", "--p", "0.2", "--out", out],
+            "sample-repeated": ["real", "--edges", str(edges), "--sample", "2", "--sample", "2",
+                                "--out", out],
+            "sbm-p": ["simulate", "--model", "sbm", "--n", "10", "--p-in", "0.3",
+                      "--p-out", "0.1", "--p", "0.3", "--out", out],
+            "er-sigma2": ["simulate", "--model", "er", "--n", "10", "--p", "0.2",
+                          "--sigma2", "1", "--out", out],
+            "goe-p-in": ["simulate", "--model", "goe", "--n", "10", "--sigma2", "0.2",
+                         "--p-in", "0.3", "--out", out],
         }[case]
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [edges]
+
+    @pytest.mark.parametrize("command", ["simulate", "real"])
+    def test_summary_out_equal_to_out_exits_2(self, tmp_path, capsys, no_work, command):
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\n")
+        out = str(tmp_path / "s.csv")
+        argv = {
+            "simulate": ["simulate", "--model", "er", "--n", "20", "--p", "0.3"],
+            "real": ["real", "--edges", str(edges), "--sample", "2"],
+        }[command]
+        assert main(argv + ["--out", out, "--summary-out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [edges]
 
@@ -546,7 +604,11 @@ class TestOracleCmd:
     def test_size_limit_usage_error(self):
         assert main(["oracle", "--n", "24", "--p", "0.5"]) == 2
 
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--bogus"])
-        assert err.value.code == 2
+    def test_unknown_flag_exits_2(self, tmp_path):
+        # real takes its sizes through --sample alone
+        for argv in (["simulate", "--bogus"],
+                     ["real", "--edges", str(tmp_path / "net.txt"), "--n-sweep", "20",
+                      "--out", str(tmp_path / "x.csv")]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2

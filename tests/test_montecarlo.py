@@ -123,6 +123,20 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             run_experiment(ExperimentSpec(model="real", n_values=(10,)))
 
+    def test_repeats_and_foreign_parameters_rejected(self):
+        with pytest.raises(ParameterError, match="repeat"):
+            ExperimentSpec(model="er", n_values=(10, 20, 10), p=0.2)
+        with pytest.raises(ParameterError, match="repeat"):
+            ExperimentSpec(model="er", n_values=(10,), p=0.2, policies=(RANDOM, RANDOM))
+        with pytest.raises(ParameterError, match="does not read sigma2"):
+            ExperimentSpec(model="sbm", n_values=(10,), p_in=0.3, p_out=0.1, sigma2=1.0)
+        with pytest.raises(ParameterError, match="does not read p, p_in"):
+            ExperimentSpec(model="goe", n_values=(10,), sigma2=0.2, p=0.2, p_in=0.3)
+        with pytest.raises(ParameterError, match="does not read sample_source"):
+            ExperimentSpec(model="er", n_values=(10,), p=0.2, sample_source=from_edge_list(["a b"]))
+        with pytest.raises(ParameterError, match="does not read p$"):
+            ExperimentSpec(model="real", n_values=(2,), p=0.2)
+
     def test_odd_sizes_gated(self):
         with pytest.raises(ParameterError):
             ExperimentSpec(model="er", n_values=(11,), p=0.2)

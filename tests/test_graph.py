@@ -1,5 +1,8 @@
 import io
 import math
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from netrand import (
     scale_weights,
     write_edge_list,
 )
+from netrand import graph
 from netrand.graph import _EXACT_LIMIT, _MAX_DENSE_NODES, _TILE, _mirror_upper, check_exact_bound
 
 
@@ -386,6 +390,138 @@ class TestEdgeListAgainstDenseFill:
         for k in (2, n - 1, n):
             got, (ref, labels) = induced_subgraph_sample(csr, k, 8), sample_reference(dense, k, 8)
             assert got.matrix.tobytes() == ref.tobytes() and got.labels == labels
+
+
+def loop_parse(path):
+    """The line loop's result: the file read as an iterable of lines."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return from_edge_list(fh)
+
+
+def assert_parses_as_loop(path):
+    """``from_edge_list(path)`` gives the loop's graph, or raises the loop's error."""
+    try:
+        want = loop_parse(path)
+    except UnicodeDecodeError as exc:
+        with pytest.raises(EdgeListParseError) as err:
+            from_edge_list(path)
+        assert str(err.value) == f"edge list is not UTF-8 text ({exc.reason})"
+        return
+    except EdgeListParseError as exc:
+        with pytest.raises(EdgeListParseError) as err:
+            from_edge_list(path)
+        assert str(err.value) == str(exc) and err.value.line_number == exc.line_number
+        return
+    got = from_edge_list(path)
+    assert got.labels == want.labels
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+
+
+# Canonical decimal ids, as SNAP writes them, and ids the canonical rule excludes: a leading
+# zero, 19 or 20 digits (some beyond int64).
+CANONICAL_IDS = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1)).map(str)
+OTHER_IDS = st.one_of(st.integers(0, 9).map("0{}".format), st.integers(10**18, 10**20 - 1).map(str))
+# NBSP and \x1c are whitespace to str.split() only.
+ID_SEPARATORS = st.sampled_from([" ", "\t", "\t ", "  ", "\u00a0", "\x1c"])
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r"])
+HEADER_LINES = st.sampled_from(["# c", "#", "", " \t", "  # x\ty", "\x1c", "# é", "# a\rb"])
+# Inserted anywhere: a mid-body comment, a stray CR, an extra token, non-ASCII text, bytes
+# that are not UTF-8.
+NOISE = st.sampled_from([b"#", b"# c\n", b"\r", b" 7", b" 7 8", "é".encode(), b"\x1c",
+                         "\u00a0".encode(), "\ufeff".encode(), b"\n", b"\xff", b"\xc3"])
+
+
+@st.composite
+def decimal_edge_list_bytes(draw):
+    """SNAP-like files of decimal ids; unless ``clean``, with what may send them to the loop."""
+    clean = draw(st.booleans())
+    ids = CANONICAL_IDS if clean else st.one_of(CANONICAL_IDS, OTHER_IDS)
+    node = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=8)))
+    separators = st.sampled_from([" ", "\t"]) if clean else ID_SEPARATORS
+    lines = draw(st.lists(HEADER_LINES.filter(lambda h: not clean or "\r" not in h), max_size=2))
+    for _ in range(draw(st.integers(1, 12))):
+        lines.append(draw(st.sampled_from(["", " "])) + draw(node) + draw(separators)
+                     + draw(node) + draw(st.sampled_from(["", " ", "\t"])))
+    text = "".join(line + draw(LINE_BREAKS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(NOISE) + data[at:]
+    return data
+
+
+class TestDecimalIdsAgainstLineLoop:
+    @given(data=decimal_edge_list_bytes(), block=st.sampled_from([8, 32, graph._PARSE_BLOCK]))
+    @settings(max_examples=300, deadline=None)
+    def test_path_parse_equals_line_loop(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(data)
+        with mock.patch.object(graph, "_PARSE_BLOCK", block):
+            assert_parses_as_loop(path)
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"# x\r1 2 3\n", id="lone-cr-in-header-then-bad-line"),
+        pytest.param(b"1 2\r3 4\r", id="lone-cr-line-ends"),
+        pytest.param(b"1 2\n3 4 5 6\n", id="four-tokens"),
+        pytest.param(b"9223372036854775808 1\n", id="beyond-int64"),
+        pytest.param(b"# \xff\n1 2\n", id="not-utf8-header"),
+        pytest.param(b"1 2\n# c\n2 3\n", id="comment-in-body"),
+    ])
+    def test_cases_equal_line_loop(self, tmp_path, data):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(data)
+        assert_parses_as_loop(path)
+
+    def test_lone_cr_in_header_ends_the_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"# x\r1 2\n2 3\n")
+        assert from_edge_list(path).labels == ("1", "2", "3")
+
+    def test_leading_zero_keeps_its_label(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"01 2\n2 1\n")
+        assert from_edge_list(path).labels == ("01", "2", "1")
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"5 9\n9 7")
+        g = from_edge_list(path)
+        assert g.labels == ("5", "9", "7")
+        assert np.array_equal(g.indptr, [0, 1, 3, 4]) and np.array_equal(g.indices, [1, 0, 2, 1])
+
+    def test_three_tokens_in_body_report_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"# h\r\n1 2\r\n\r\n3 4 5\r\n6 7\r\n")
+        with pytest.raises(EdgeListParseError, match="got 3 tokens") as err:
+            from_edge_list(path)
+        assert err.value.line_number == 4
+
+    def test_snap_file_takes_numpy_path(self, tmp_path, monkeypatch):
+        def no_loop(data):
+            raise AssertionError("the line loop ran")
+
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"# Undirected graph\r\n# FromNodeId\tToNodeId\r\n"
+                         b"30\t10\r\n10\t20\r\n20\t30\r\n0\t30\r\n")
+        monkeypatch.setattr(graph, "_decoded_lines", no_loop)
+        g = from_edge_list(path)
+        assert g.labels == ("30", "10", "20", "0")
+        assert np.array_equal(g.indptr, [0, 3, 5, 7, 8])
+        assert np.array_equal(g.indices, [1, 2, 3, 0, 2, 0, 1, 0])
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # Labels that are not decimal ids send the text to the line loop after the numpy
+        # path has read the pipe; a second read would find it empty.
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"# h\na b\nb c\n")
+            os.close(write_end)
+            assert from_edge_list(f"/dev/fd/{read_end}").labels == ("a", "b", "c")
+        finally:
+            os.close(read_end)
 
 
 class TestExactBound:

@@ -90,11 +90,13 @@ def _summary_path(out: str) -> str:
 
 
 def _check_outputs(*paths) -> None:
-    """Reject output paths that coincide, or whose directory is missing or unwritable."""
+    """Reject output paths that coincide or are directories, or whose directory is missing or unwritable."""
     paths = list(filter(None, paths))
     if len({Path(path).resolve() for path in paths}) < len(paths):
         raise ParameterError(f"output paths {paths} coincide; one file would overwrite the other")
     for path in paths:
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"output path {path!r} is a directory")
         parent = Path(path).parent
         if not parent.is_dir():
             raise FileNotFoundError(f"output directory {str(parent)!r} does not exist")
@@ -293,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every command seeds numpy, whose seeds are nonnegative integers.
+        if args.seed < 0:
+            raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ParameterError, SizeLimitError, EdgeListParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from one exact recomputation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,33 +78,29 @@ class DesignState:
         return self.tau_buf[: 2 * self.pairs]
 
 
-@dataclass(frozen=True)
-class PairIncrement:
+class PairIncrement(NamedTuple):
     """Quantities read from the two newly revealed rows over the current prefix.
 
     ``cols`` are the prefix columns N read (:meth:`RevealedView.pair_neighbours`);
     both rows are zero elsewhere.  ``y`` is the new-column difference over N,
     ``z1``/``z2`` the inner products of the two new row prefixes with the
-    sign prefix, ``corner`` the entry joining the two new subjects and
-    ``diag`` the self-weight (1 for generated graphs; scaled copies carry the
-    scale).
+    sign prefix, and ``e`` the self-weight minus the entry joining the two new
+    subjects.
     """
 
     cols: slice | np.ndarray
     y: np.ndarray
     z1: float
     z2: float
-    corner: float
-    diag: float = 1.0
+    e: float
 
 
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
     """Build the increment for the next pair from the revealed prefix."""
-    cols, vals, diag, corner = view.pair_neighbours(2 * state.pairs)
+    cols, vals, e = view.pair_neighbours(2 * state.pairs)
     block = vals.astype(np.float64)
     z = block @ state.tau[cols]
-    return PairIncrement(cols, block[1] - block[0], float(z[0]), float(z[1]),
-                         float(corner), float(diag))
+    return PairIncrement(cols, block[1] - block[0], float(z[0]), float(z[1]), e)
 
 
 def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float, float]:
@@ -121,7 +118,7 @@ def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float,
         )
     sy = float(s_n @ inc.y)
     base = state.i2 + float(inc.y @ inc.y)
-    e = inc.diag - inc.corner
+    e = inc.e
     i2_01 = base - 2.0 * sy + (inc.z1 + e) ** 2 + (inc.z2 - e) ** 2
     i2_10 = base + 2.0 * sy + (inc.z1 - e) ** 2 + (inc.z2 + e) ** 2
     return i2_01, i2_10
@@ -134,32 +131,21 @@ def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, rng) -> Desi
     1 - b, exact ties fall to a fair coin; exactly one uniform draw is
     consumed.  Ties are detected by exact comparison (integer-exact for
     binary graphs; no tolerance for weighted ones, where ties have measure
-    zero and an epsilon would change the procedure's law).
+    zero and an epsilon would change the procedure's law).  The pair gets
+    signs (sigma, -sigma), and the update is DECISIONS.md D3's, as in
+    :func:`run_design_many`.
     """
     i2_01, i2_10 = candidate_imbalances(state, inc)
-    if i2_01 < i2_10:
-        p01 = cfg.effective_b
-    elif i2_01 > i2_10:
-        p01 = 1.0 - cfg.effective_b
-    else:
-        p01 = 0.5
-    choose_01 = rng.random() < p01
+    # P(pair gets (0,1)) = 1/2 - (b - 1/2) sign(i2_01 - i2_10): b, 1 - b or 1/2, exactly.
+    sign = (i2_01 > i2_10) - (i2_01 < i2_10)
+    sigma = 1.0 if rng.random() < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
     length = 2 * state.pairs
-    e = inc.diag - inc.corner
-    if choose_01:
-        state.s_buf[inc.cols] -= inc.y
-        state.s_buf[length] = inc.z1 + e
-        state.s_buf[length + 1] = inc.z2 - e
-        state.tau_buf[length] = 1.0
-        state.tau_buf[length + 1] = -1.0
-        state.i2 = i2_01
-    else:
-        state.s_buf[inc.cols] += inc.y
-        state.s_buf[length] = inc.z1 - e
-        state.s_buf[length + 1] = inc.z2 + e
-        state.tau_buf[length] = -1.0
-        state.tau_buf[length + 1] = 1.0
-        state.i2 = i2_10
+    state.s_buf[inc.cols] -= sigma * inc.y
+    state.s_buf[length] = inc.z1 + inc.e * sigma
+    state.s_buf[length + 1] = inc.z2 - inc.e * sigma
+    state.tau_buf[length] = sigma
+    state.tau_buf[length + 1] = -sigma
+    state.i2 = i2_01 if sigma > 0 else i2_10
     state.pairs += 1
     return state
 
@@ -201,14 +187,8 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
         inc = increment_from_view(view, state)
         step(state, inc, cfg, rng)
         traj[m] = state.i2
-    tau = np.empty(n, dtype=np.int8)
-    tau[: 2 * pairs] = state.tau_buf.astype(np.int8)
-    if n % 2:
-        tau[-1] = 1 if rng.random() < 0.5 else -1
-    if g.weighted:
-        return DesignResult(tau, traj, float(traj[-1]))
-    trajectory = np.asarray(np.rint(traj), dtype=np.int64)
-    return DesignResult(tau, trajectory, int(trajectory[-1]))
+    trajectory = _i2_result(g, traj)
+    return DesignResult(_all_signs(state.tau_buf, n, rng), trajectory, trajectory[-1].item())
 
 
 def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray, int | float]:
@@ -227,11 +207,26 @@ def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray
         raise ParameterError("design needs at least 2 subjects")
     rng = np.random.default_rng(cfg.seed)
     pairs = n // 2
+    tau = _all_signs(_fair_pairs(rng.random(pairs)), n, rng)
+    return tau, imbalance_recompute(g, tau, 2 * pairs)
+
+
+def _all_signs(paired: np.ndarray, n: int, rng) -> np.ndarray:
+    """int8 signs of all n subjects: the paired ones, then an odd trailing subject's fair coin.
+
+    The trailing coin is one uniform, below 1/2 for +1, drawn after every
+    pair's (the odd-n convention, DECISIONS.md D3).
+    """
     tau = np.empty(n, dtype=np.int8)
-    tau[: 2 * pairs] = _fair_pairs(rng.random(pairs))
+    tau[: paired.shape[0]] = paired
     if n % 2:
         tau[-1] = 1 if rng.random() < 0.5 else -1
-    return tau, imbalance_recompute(g, tau, 2 * pairs)
+    return tau
+
+
+def _i2_result(g: Graph | CsrGraph, values: np.ndarray) -> np.ndarray:
+    """Squared imbalances as a weighted graph's floats, or a binary graph's integers as int64."""
+    return values if g.weighted else np.asarray(np.rint(values), dtype=np.int64)
 
 
 def _fair_coin(g: Graph | CsrGraph, cfg: DesignConfig) -> bool:
@@ -275,14 +270,11 @@ def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
     if not np.isin(prefix, (-1.0, 1.0)).all():
         raise ContractError("signs must be +1 or -1")
     view = RevealedView(g, upto)
-    if tau.ndim == 1 and not g.weighted:
-        s = view.matvec(prefix.astype(np.int8))
-        return int(s @ s)
-    s = view.matvec(prefix)
     if tau.ndim == 1:
-        return float(s @ s)
-    totals = (s * s).sum(axis=0)
-    return totals if g.weighted else np.asarray(np.rint(totals), dtype=np.int64)
+        s = view.matvec(prefix if g.weighted else prefix.astype(np.int8))
+        return (s @ s).item()
+    s = view.matvec(prefix)
+    return _i2_result(g, (s * s).sum(axis=0))
 
 
 def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:
@@ -324,12 +316,11 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     # The first pair has no prefix neighbours, so d = 0 and its coin is the fair one.
     for length in range(0, n2, 2):
         view.reveal_to(length + 2)
-        cols, vals, diag, corner = view.pair_neighbours(length)
+        cols, vals, e = view.pair_neighbours(length)
         if isinstance(cols, slice):
             # Dense rows: keep the nonzero columns, so a pair costs O(|N| reps), not O(length reps).
             cols = np.flatnonzero(np.logical_or(vals[0], vals[1]))
             vals = vals[:, cols]
-        e = float(diag) - float(corner)
         block = vals.astype(np.float64)
         y = block[1] - block[0]
         z = block @ tau[cols]
@@ -344,7 +335,4 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
         tau_new = np.multiply.outer(pair_signs, sgn)
         tau[length:length + 2] = tau_new
         s[length:length + 2] = z + e * tau_new
-
-    if g.weighted:
-        return i2
-    return np.asarray(np.rint(i2), dtype=np.int64)
+    return _i2_result(g, i2)

@@ -213,27 +213,28 @@ class RevealedView:
         self._revealed = k
 
     def pair_neighbours(self, length: int):
-        """The newest pair's prefix columns N, its 2 x |N| entries there, self-weight and corner.
+        """The newest pair's prefix columns N, its 2 x |N| entries there, and e.
 
         The pair is subjects (length, length + 1), with ``length`` even.  Every
-        column of [0, length) outside N is zero in both of the pair's rows, and
-        ``corner`` is the entry joining the two.  A dense ``Graph`` gives
-        N = slice(0, length) and the two rows over it; a ``CsrGraph`` gives the
-        sorted union of the pair's neighbours in [0, length) and its 0/1
-        entries there.
+        column of [0, length) outside N is zero in both of the pair's rows.
+        ``e`` is the self-weight minus the entry joining the two, as a float.
+        A dense ``Graph`` gives N = slice(0, length) and the two rows over it;
+        a ``CsrGraph`` gives the sorted union of the pair's neighbours in
+        [0, length) and its 0/1 entries there.
         """
         if length < 0 or length % 2 or length + 2 > self._revealed:
             raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
         g = self.graph
         if isinstance(g, Graph):
             rows = g.matrix[length:length + 2, :length + 2]
-            return slice(0, length), rows[:, :length], rows[0, length], rows[0, length + 1]
+            e = float(rows[0, length]) - float(rows[0, length + 1])
+            return slice(0, length), rows[:, :length], e
         if self._pairs is None:
             self._pairs = _pair_lists(g)
-        ptr, cols, vals, corner = self._pairs
+        ptr, cols, vals, e = self._pairs
         m = length // 2
         lo, hi = ptr[m], ptr[m + 1]
-        return cols[lo:hi], vals[:, lo:hi], 1, corner[m]
+        return cols[lo:hi], vals[:, lo:hi], float(e[m])
 
     def matvec(self, v) -> np.ndarray:
         """Revealed submatrix times ``v``: a length-k vector or a (k, r) block of columns.
@@ -272,18 +273,18 @@ class RevealedView:
 
 
 def _pair_lists(g: CsrGraph):
-    """Pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, corner)``.
+    """Pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, e)``.
 
     Pair m is nodes (2m, 2m + 1).  ``cols[ptr[m]:ptr[m + 1]]`` is the sorted
     union of their neighbours in [0, 2m), ``vals[:, ptr[m]:ptr[m + 1]]`` the
-    two nodes' 0/1 entries there and ``corner[m]`` the entry joining them.
-    One sort of (pair, column, side) keys: O(|E| log |E|).
+    two nodes' 0/1 entries there and ``e[m]`` the unit self-weight minus the
+    entry joining them.  One sort of (pair, column, side) keys: O(|E| log |E|).
     """
     pairs, n = g.n // 2, g.n
     rows, cols = g._rows(np.arange(n)), g.indices
     pair, side = np.divmod(rows, 2)
-    corner = np.zeros(pairs, dtype=np.uint8)
-    corner[pair[(side == 0) & (cols == rows + 1)]] = 1
+    e = np.ones(pairs)
+    e[pair[(side == 0) & (cols == rows + 1)]] = 0.0
     # Earlier columns only; an odd trailing node has pair == pairs and joins no pair.
     before = (cols < 2 * pair) & (pair < pairs)
     keys = (pair[before] * n + cols[before]) * 2 + side[before]
@@ -295,7 +296,7 @@ def _pair_lists(g: CsrGraph):
     pair_of, cols = np.divmod(pair_col[first], n)
     ptr = np.zeros(pairs + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_of, minlength=pairs), out=ptr[1:])
-    return ptr, cols, vals, corner
+    return ptr, cols, vals, e
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ class OutcomeParams:
     sigma_eps: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu0, self.mu1, self.sigma_z, self.sigma_eps))):
+            raise ParameterError("outcome parameters must be finite")
         if self.sigma_z < 0 or self.sigma_eps < 0:
             raise ParameterError("standard deviations must be nonnegative")
 

@@ -359,22 +359,32 @@ class TestRejectedBeforeWork:
         monkeypatch.setattr(cli, "run_design", forbidden)
         monkeypatch.setattr(graph, "from_edge_list", forbidden)
 
-    @pytest.mark.parametrize("command", ["simulate", "simulate-summary", "real", "assign"])
+    @pytest.mark.parametrize("command", [
+        "simulate", "simulate-summary", "real", "assign",
+        "simulate-dir", "simulate-summary-dir", "real-dir", "assign-dir",
+    ])
     def test_missing_output_directory_exits_1(self, tmp_path, capsys, no_work, command):
         edges = tmp_path / "net.txt"
         edges.write_text("a b\n")
         missing = str(tmp_path / "absent" / "x.csv")
+        # an output path naming an existing directory is rejected the same way
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        to_dir = command.endswith("-dir")
+        out = str(folder) if to_dir else missing
         argv = {
-            "simulate": ["simulate", "--model", "er", "--n", "20", "--p", "0.3", "--out", missing],
+            "simulate": ["simulate", "--model", "er", "--n", "20", "--p", "0.3", "--out", out],
             "simulate-summary": ["simulate", "--model", "er", "--n", "20", "--p", "0.3",
-                                 "--out", str(tmp_path / "x.csv"), "--summary-out", missing],
-            "real": ["real", "--edges", str(edges), "--sample", "2", "--out", missing],
-            "assign": ["assign", "--edges", str(edges), "--out", missing],
-        }[command]
+                                 "--out", str(tmp_path / "x.csv"), "--summary-out", out],
+            "real": ["real", "--edges", str(edges), "--sample", "2", "--out", out],
+            "assign": ["assign", "--edges", str(edges), "--out", out],
+        }[command.removesuffix("-dir")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "does not exist" in err
-        assert list(tmp_path.iterdir()) == [edges]
+        assert err.startswith("error: ")
+        assert ("is a directory" if to_dir else "does not exist") in err
+        assert sorted(tmp_path.iterdir()) == [folder, edges]
+        assert list(folder.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "real", "real-sweep"])
     def test_odd_size_exits_2_without_library_keyword(self, tmp_path, capsys, no_work, command):
@@ -396,6 +406,8 @@ class TestRejectedBeforeWork:
         "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",
         "sparse-c-zero", "n-repeated", "n-ranges-overlap", "sample-repeated",
         "sbm-p", "er-sigma2", "goe-p-in",
+        "sigma-z-nan", "sigma-eps-inf", "mu0-nan", "mu1-minus-inf",
+        "simulate-seed", "real-seed", "assign-seed", "oracle-seed",
     ])
     def test_usage_error_exits_2_before_work(self, tmp_path, capsys, no_work, case):
         edges = tmp_path / "net.txt"
@@ -424,6 +436,20 @@ class TestRejectedBeforeWork:
                           "--sigma2", "1", "--out", out],
             "goe-p-in": ["simulate", "--model", "goe", "--n", "10", "--sigma2", "0.2",
                          "--p-in", "0.3", "--out", out],
+            "sigma-z-nan": ["simulate", "--model", "er", "--n", "10", "--p", "0.2", "--mu0", "1",
+                            "--mu1", "0", "--sigma-z", "nan", "--sigma-eps", "1", "--out", out],
+            "sigma-eps-inf": ["simulate", "--model", "er", "--n", "10", "--p", "0.2", "--mu0", "1",
+                              "--mu1", "0", "--sigma-z", "1", "--sigma-eps", "inf", "--out", out],
+            "mu0-nan": ["simulate", "--model", "er", "--n", "10", "--p", "0.2", "--mu0", "nan",
+                        "--mu1", "0", "--sigma-z", "1", "--sigma-eps", "1", "--out", out],
+            "mu1-minus-inf": ["simulate", "--model", "er", "--n", "10", "--p", "0.2", "--mu0", "1",
+                              "--mu1=-inf", "--sigma-z", "1", "--sigma-eps", "1", "--out", out],
+            "simulate-seed": ["simulate", "--model", "er", "--n", "10", "--p", "0.2",
+                              "--seed", "-1", "--out", out],
+            "real-seed": ["real", "--edges", str(edges), "--sample", "2", "--seed", "-3",
+                          "--out", out],
+            "assign-seed": ["assign", "--edges", str(edges), "--seed", "-1", "--out", out],
+            "oracle-seed": ["oracle", "--n", "8", "--p", "0.5", "--seed", "-1"],
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -173,7 +173,7 @@ class TestCandidates:
         g = gen_er(ErParams(8, 0.5), seed=0)
         st_ = first_step(g, Replay([0.1]))
         for cols, width in ((slice(0, 4), 4), (slice(0, 2), 3), (np.array([0, 1]), 1)):
-            bad = design.PairIncrement(cols=cols, y=np.zeros(width), z1=0.0, z2=0.0, corner=0.0)
+            bad = design.PairIncrement(cols=cols, y=np.zeros(width), z1=0.0, z2=0.0, e=1.0)
             with pytest.raises(ContractError):
                 candidate_imbalances(st_, bad)
 
@@ -206,6 +206,37 @@ class TestStep:
             step(st_, inc, DesignConfig(ADAPTIVE, b=1.0), rng)
             if i2_01 != i2_10:
                 assert st_.i2 == min(i2_01, i2_10)
+
+    @pytest.mark.parametrize("b", [0.95, 0.85])
+    def test_uniform_equal_to_the_probability_loses(self, b):
+        # Only edge (0, 2).  After the first pair gets (+1, -1), pair (2, 3) has candidates
+        # (10, 2), so P(0,1) = 1 - b; after (-1, +1) they are (2, 10) and P(0,1) = b.
+        m = np.eye(4, dtype=np.uint8)
+        m[0, 2] = m[2, 0] = 1
+        g = Graph(m)
+        cfg = DesignConfig(ADAPTIVE, b=b)
+        # (first pair's uniform, candidates, this pair's uniform, its first sign): (0, 1) is +1
+        # exactly when the uniform is strictly below P(0,1)
+        cases = [
+            (0.25, (10.0, 2.0), 1.0 - b, -1.0),
+            (0.25, (10.0, 2.0), b, -1.0),
+            (0.75, (2.0, 10.0), 1.0 - b, 1.0),
+            (0.75, (2.0, 10.0), b, -1.0),
+        ]
+        for first, candidates, u, sign in cases:
+            st_ = first_step(g, Replay([first]), cfg)
+            inc = increment_from_view(revealed(g, 4), st_)
+            assert candidate_imbalances(st_, inc) == candidates
+            step(st_, inc, cfg, Replay([u]))
+            assert st_.tau[2:].tolist() == [sign, -sign]
+            assert st_.i2 == candidates[0 if sign > 0 else 1]
+        # ties, at the first pair and at a later one, compare the uniform with 1/2
+        assert first_step(g, Replay([0.5]), cfg).tau.tolist() == [-1.0, 1.0]
+        tied = complete_graph(4)
+        st_ = first_step(tied, Replay([0.25]), cfg)
+        inc = increment_from_view(revealed(tied, 4), st_)
+        assert candidate_imbalances(st_, inc) == (0.0, 0.0)
+        assert step(st_, inc, cfg, Replay([0.5])).tau[2:].tolist() == [-1.0, 1.0]
 
     def test_half_b_equals_random_policy(self):
         g = gen_er(ErParams(40, 0.3), seed=1)

@@ -622,9 +622,9 @@ class TestRevealedView:
         g = gen_er(ErParams(10, 0.5), seed=0)
         for view in (RevealedView(g), RevealedView(csr_of(g))):
             view.reveal_to(4)
-            cols, vals, diag, corner = view.pair_neighbours(2)
+            cols, vals, e = view.pair_neighbours(2)
             assert np.array_equal(vals, g.matrix[2:4, :2][:, cols])
-            assert (diag, corner) == (1, g.matrix[2, 3])
+            assert type(e) is float and e == 1.0 - g.matrix[2, 3]
             for length in (3, 4, -1, -2):
                 with pytest.raises(ContractError):
                     view.pair_neighbours(length)
@@ -653,28 +653,30 @@ class TestRevealedView:
             views.append((RevealedView(csr_of(g), revealed=g.n), True))
         for view, exact in views:
             for length in range(0, g.n - 1, 2):
-                cols, vals, diag, corner = view.pair_neighbours(length)
+                cols, vals, e = view.pair_neighbours(length)
                 rows = g.matrix[length:length + 2, :length]
                 want = np.flatnonzero((rows != 0).any(axis=0))
                 assert vals.dtype == g.matrix.dtype and np.array_equal(vals, rows[:, cols])
                 assert np.isin(want, np.arange(length)[cols]).all()
                 if exact:
                     assert cols.dtype.kind == "i" and np.array_equal(cols, want)
-                assert diag == g.matrix[length, length] and corner == g.matrix[length, length + 1]
+                # the self-weight minus the entry joining the pair
+                assert type(e) is float
+                assert e == float(g.matrix[length, length]) - float(g.matrix[length, length + 1])
 
     def test_pair_neighbours_empty_without_links(self):
         for n in (8, 9):
             view = RevealedView(csr_of(identity_graph(n)), revealed=n)
             for length in range(0, n - 1, 2):
-                cols, vals, diag, corner = view.pair_neighbours(length)
-                assert cols.shape == (0,) and vals.shape == (2, 0) and (diag, corner) == (1, 0)
+                cols, vals, e = view.pair_neighbours(length)
+                assert cols.shape == (0,) and vals.shape == (2, 0) and e == 1.0
 
     def test_pair_neighbours_prefix_enforced(self):
         g = complete_graph(10)
         for view in (RevealedView(g, revealed=4), RevealedView(csr_of(g), revealed=4)):
-            cols, vals, diag, corner = view.pair_neighbours(2)
+            cols, vals, e = view.pair_neighbours(2)
             assert np.array_equal(np.arange(2)[cols], [0, 1])
-            assert np.array_equal(vals, g.matrix[2:4, :2]) and (diag, corner) == (1, 1)
+            assert np.array_equal(vals, g.matrix[2:4, :2]) and e == 0.0
             for length in (3, 4, 8, -1):
                 with pytest.raises(ContractError):
                     view.pair_neighbours(length)

@@ -7,11 +7,11 @@ assignments of a new pair from the two newly revealed rows, read over the
 pair's prefix columns N (all of them on a dense graph, the pair's neighbours
 on neighbour lists): O(|N|) per pair.
 
-All state is kept in float64.  For binary graphs every intermediate quantity
-is an integer below 2**53 (the dense cap bounds it on a ``Graph``, and
-``graph.check_exact_bound`` on neighbour lists), so the arithmetic is exact and the
-incremental squared imbalance equals a from-scratch recomputation, as
-integers, at every step.
+State is kept in float64, but in Python integers by the scalar loop on
+neighbour lists.  For binary graphs every float is an integer below 2**53 (the
+dense cap bounds it on a ``Graph``, and ``graph.check_exact_bound`` on neighbour
+lists), so the arithmetic is exact and the incremental squared imbalance
+equals a from-scratch recomputation, as integers, at every step.
 
 Where every coin is fair (the random policy, or b = 1/2) on a binary graph,
 the signs depend on the uniforms alone: :func:`run_design_final` and
@@ -20,6 +20,7 @@ from one exact recomputation.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,7 +171,8 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
 
     Only the revealed principal submatrix is ever read while assigning.  An
     odd trailing subject is assigned by a fair coin.  Randomness budget: one
-    uniform per pair, then one for an odd trailing subject.
+    uniform per pair by ``rng.random()``, then one for an odd trailing subject.
+    A ``CsrGraph`` runs :func:`_run_on_lists`, with the same draws and results.
     """
     n = g.n
     if n < 2:
@@ -179,6 +181,9 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
         rng = np.random.default_rng(cfg.seed)
     view = RevealedView(g)
     pairs = n // 2
+    if isinstance(g, CsrGraph):
+        paired, trajectory = _run_on_lists(view, pairs, cfg, rng)
+        return DesignResult(_all_signs(paired, n, rng), trajectory, trajectory[-1].item())
     state = DesignState(0, np.zeros(2 * pairs), np.zeros(2 * pairs), 0.0)
     traj = np.empty(pairs, dtype=np.float64)
     # The first pair has an empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
@@ -189,6 +194,35 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
         traj[m] = state.i2
     trajectory = _i2_result(g, traj)
     return DesignResult(_all_signs(state.tau_buf, n, rng), trajectory, trajectory[-1].item())
+
+
+def _run_on_lists(view: RevealedView, pairs: int, cfg: DesignConfig, rng):
+    """``run_design``'s loop on neighbour lists in exact Python ints: paired signs, int64 I^2s.
+
+    A pair's prefix neighbours come split by side (:meth:`RevealedView.pair_sides`),
+    so y is -1, +1 or 0 on them; the coin and update are ``run_design_many``'s.
+    """
+    bias = cfg.effective_b - 0.5
+    s, tau, traj = [0] * (2 * pairs), [0] * (2 * pairs), array("q")
+    s_at, tau_at = s.__getitem__, tau.__getitem__
+    i2, sides = 0, view.pair_sides()
+    for length in range(0, 2 * pairs, 2):
+        view.reveal_to(length + 2)
+        first, second, both, e = next(sides)
+        z1 = sum(map(tau_at, first)) + sum(map(tau_at, both))
+        z2 = sum(map(tau_at, second)) + sum(map(tau_at, both))
+        # The candidates are c + d for (0, 1) and c - d for (1, 0), so sign(d) is their comparison.
+        d = 2 * e * (z1 - z2) - 2 * (sum(map(s_at, second)) - sum(map(s_at, first)))
+        sigma = 1 if rng.random() < 0.5 - bias * ((d > 0) - (d < 0)) else -1
+        for j in first:
+            s[j] += sigma
+        for j in second:
+            s[j] -= sigma
+        s[length], s[length + 1] = z1 + e * sigma, z2 - e * sigma
+        tau[length], tau[length + 1] = sigma, -sigma
+        i2 += len(first) + len(second) + 2 * e * e + z1 * z1 + z2 * z2 + sigma * d
+        traj.append(i2)
+    return tau, np.array(traj, dtype=np.int64)
 
 
 def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray, int | float]:
@@ -211,14 +245,14 @@ def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray
     return tau, imbalance_recompute(g, tau, 2 * pairs)
 
 
-def _all_signs(paired: np.ndarray, n: int, rng) -> np.ndarray:
+def _all_signs(paired: np.ndarray | list[int], n: int, rng) -> np.ndarray:
     """int8 signs of all n subjects: the paired ones, then an odd trailing subject's fair coin.
 
     The trailing coin is one uniform, below 1/2 for +1, drawn after every
     pair's (the odd-n convention, DECISIONS.md D3).
     """
     tau = np.empty(n, dtype=np.int8)
-    tau[: paired.shape[0]] = paired
+    tau[: len(paired)] = paired
     if n % 2:
         tau[-1] = 1 if rng.random() < 0.5 else -1
     return tau

@@ -195,8 +195,8 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
-    ``pair_neighbours`` and ``matvec`` are the only reads, and both serve a
-    dense ``Graph`` and a ``CsrGraph`` alike.
+    ``pair_neighbours`` and ``matvec`` serve a dense ``Graph`` and a ``CsrGraph``
+    alike; ``pair_sides`` reads a ``CsrGraph``'s pairs for Python integer loops.
     """
 
     def __init__(self, graph: Graph | CsrGraph, revealed: int = 0):
@@ -235,6 +235,22 @@ class RevealedView:
         m = length // 2
         lo, hi = ptr[m], ptr[m + 1]
         return cols[lo:hi], vals[:, lo:hi], float(e[m])
+
+    def pair_sides(self) -> Iterator[tuple[array, array, array, int]]:
+        """``pair_neighbours`` of a ``CsrGraph``'s pairs in order, one per ``next``, split by row.
+
+        Pair m yields its columns joined only to 2m, only to 2m + 1 and to both,
+        as slices of flat int64 ``array``s built in one pass, and e as an int.
+        """
+        ptr, cols, vals, e = _pair_lists(self.graph)
+        (o0, c0), (o1, c1), (o2, c2) = (
+            (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
+            for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
+        del ptr, cols, vals
+        for m, e_m in enumerate(e.astype(np.int64).tolist()):
+            if 2 * m + 2 > self._revealed:
+                raise ContractError(f"pair at {2 * m} outside revealed prefix {self._revealed}")
+            yield c0[o0[m]:o0[m + 1]], c1[o1[m]:o1[m + 1]], c2[o2[m]:o2[m + 1]], e_m
 
     def matvec(self, v) -> np.ndarray:
         """Revealed submatrix times ``v``: a length-k vector or a (k, r) block of columns.

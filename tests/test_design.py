@@ -317,8 +317,11 @@ class TestRunDesign:
             return orig(self, k)
 
         monkeypatch.setattr(design.RevealedView, "reveal_to", recording)
-        engine(gen_er(ErParams(12, 0.5), seed=0), DesignConfig(ADAPTIVE, seed=0))
-        assert calls == [2, 4, 6, 8, 10, 12]
+        dense = gen_er(ErParams(12, 0.5), seed=0)
+        for g in (dense, csr_from_edges(12, *upper_edges(dense))):
+            calls.clear()
+            engine(g, DesignConfig(ADAPTIVE, seed=0))
+            assert calls == [2, 4, 6, 8, 10, 12]
 
 
 class TestRecompute:
@@ -497,16 +500,30 @@ def upper_edges(g):
 
 @st.composite
 def edge_lists(draw):
-    """Binary graphs from 2 to 2000 nodes as neighbour lists: ER, SBM, heavy-tailed, complete.
+    """Binary graphs from 2 to 2000 nodes as neighbour lists: ER, SBM, heavy-tailed, complete,
+    a hub and joined pairs.
 
     Sparse draws leave isolated nodes; the complete graph ties at every pair.
+    The hub is joined to most nodes, so many pairs share it or have it on one
+    side only; joined pairs (e = 0) link each pair (2m, 2m + 1) besides
+    sparse ER edges.
     """
     n = draw(st.one_of(st.integers(2, 60), st.integers(61, 2000)))
-    kind = draw(st.sampled_from(["er", "sbm", "heavy", "complete"]))
+    kind = draw(st.sampled_from(["er", "sbm", "heavy", "complete", "hub", "joined"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "complete":
         n = min(n, 300)
         return csr_from_edges(n, *np.nonzero(~np.eye(n, dtype=bool)))
+    rng = np.random.default_rng(seed)
+    if kind == "hub":
+        hub = rng.integers(n)
+        spokes = np.flatnonzero(rng.random(n) < 0.9)
+        u, v = upper_edges(gen_er(ErParams(n, min(2.0 / n, 0.9)), seed))
+        return csr_from_edges(n, np.concatenate([u, np.full(spokes.size, hub)]), np.concatenate([v, spokes]))
+    if kind == "joined":
+        u, v = upper_edges(gen_er(ErParams(n, min(3.0 / n, 0.9)), seed))
+        firsts = np.arange(0, n - 1, 2)
+        return csr_from_edges(n, np.concatenate([u, firsts]), np.concatenate([v, firsts + 1]))
     if kind == "er":
         mean_degree = draw(st.sampled_from([0.5, 3.0, 20.0]))
         p = min(mean_degree / n, 0.9)
@@ -515,21 +532,35 @@ def edge_lists(draw):
         p_in = min(8.0 / n, 1.0)
         return csr_from_edges(n, *upper_edges(gen_sbm(SbmParams(n, p_in, p_in / 8), seed)))
     # Chung-Lu endpoints with Pareto weights: a few hubs and many low degrees
-    rng = np.random.default_rng(seed)
     w = rng.pareto(1.5, n) + 1.0
     u, v = rng.choice(n, size=(2, 2 * n), p=w / w.sum())
     return csr_from_edges(n, u, v)
 
 
-@settings(max_examples=40, deadline=None)
-@given(edge_lists(), st.sampled_from([ADAPTIVE, RANDOM]), st.integers(0, 100_000))
-def test_neighbour_lists_match_dense_under_one_stream(g, policy, seed):
+@settings(max_examples=60, deadline=None)
+@given(edge_lists(), st.sampled_from([(ADAPTIVE, 0.85), (ADAPTIVE, 0.5), (ADAPTIVE, 1.0), (RANDOM, 0.85)]),
+       st.integers(0, 100_000))
+def test_neighbour_lists_match_dense_under_one_stream(g, policy_b, seed):
+    """Same tau, trajectory and final I^2 on both storages, draw for draw.
+
+    At b = 1/2 and 1 only exact ties take the fair coin.
+    """
     dense = g.to_dense()
-    cfg = DesignConfig(policy, b=0.85, seed=seed)
-    a, b = run_design(g, cfg), run_design(dense, cfg)
-    assert np.array_equal(a.tau, b.tau)
+    cfg = DesignConfig(*policy_b, seed=seed)
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random(g.n // 2 + g.n % 2)
+    # a third of the draws sit on a coin's threshold, 1 - b, 1/2 or b, which a uniform equal to it loses
+    at_threshold = rng.random(uniforms.size) < 1 / 3
+    uniforms[at_threshold] = rng.choice([1.0 - cfg.b, 0.5, cfg.b], at_threshold.sum())
+    replays = [Replay(uniforms), Replay(uniforms)]
+    a, b = run_design(g, cfg, rng=replays[0]), run_design(dense, cfg, rng=replays[1])
+    # one uniform per pair, then one for an odd trailing subject, each drawn without a size
+    assert [r.used for r in replays] == [uniforms.size] * 2
+    assert a.tau.dtype == b.tau.dtype == np.int8 and np.array_equal(a.tau, b.tau)
     assert a.i2_trajectory.dtype == b.i2_trajectory.dtype == np.int64
-    assert np.array_equal(a.i2_trajectory, b.i2_trajectory) and a.final_i2 == b.final_i2
+    assert np.array_equal(a.i2_trajectory, b.i2_trajectory)
+    assert type(a.final_i2) is type(b.final_i2) is int and a.final_i2 == b.final_i2
+    assert np.array_equal(run_design(g, cfg).tau, run_design(dense, cfg).tau)
     many = [run_design_many(h, cfg, 5, rng=np.random.default_rng(seed)) for h in (g, dense)]
     assert np.array_equal(*many)
     n2 = g.n - g.n % 2
@@ -550,6 +581,12 @@ def test_pair_read_outside_prefix_rejected_on_both_storages():
             step(st_, increment_from_view(view, st_), DesignConfig(seed=0), Replay([0.4]))
         with pytest.raises(ContractError):
             increment_from_view(view, st_)
+    sides = RevealedView(g, revealed=6).pair_sides()
+    reads = [next(sides) for _ in range(3)]
+    assert [[list(c) for c in read[:3]] for read in reads] == [[[], [], []], [[], [0], []], [[1], [], []]]
+    assert [read[3] for read in reads] == [1, 1, 1]
+    with pytest.raises(ContractError):
+        next(sides)
 
 
 @st.composite

@@ -100,8 +100,8 @@ def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement
     """Build the increment for the next pair from the revealed prefix."""
     cols, vals, e = view.pair_neighbours(2 * state.pairs)
     block = vals.astype(np.float64)
-    z = block @ state.tau[cols]
-    return PairIncrement(cols, block[1] - block[0], float(z[0]), float(z[1]), e)
+    z1, z2 = (block @ state.tau[cols]).tolist()
+    return PairIncrement(cols, block[1] - block[0], z1, z2, e)
 
 
 def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float, float]:
@@ -141,7 +141,11 @@ def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, rng) -> Desi
     sign = (i2_01 > i2_10) - (i2_01 < i2_10)
     sigma = 1.0 if rng.random() < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
     length = 2 * state.pairs
-    state.s_buf[inc.cols] -= sigma * inc.y
+    # s[N] -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
+    s_n = state.s_buf[inc.cols]
+    (np.subtract if sigma > 0 else np.add)(s_n, inc.y, out=s_n)
+    if not isinstance(inc.cols, slice):
+        state.s_buf[inc.cols] = s_n  # index-array columns gather a copy
     state.s_buf[length] = inc.z1 + inc.e * sigma
     state.s_buf[length + 1] = inc.z2 - inc.e * sigma
     state.tau_buf[length] = sigma

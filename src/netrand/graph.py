@@ -26,11 +26,16 @@ _MAX_DENSE_NODES = 32768
 # float64 holds every integer below 2^53 exactly; designs on neighbour lists are held
 # below it by check_exact_bound.
 _EXACT_LIMIT = 2**53
-# Row-block size of the float mat-vec; fixed, so its sums and GOE outcomes stay reproducible.
-_CHUNK_ROWS = 2048
+# Row-block size of the float mat-vec.  Fixed, so its sums and the outcome W stay
+# reproducible; with 128 rows OpenBLAS gave the same sums under 1, 2 and 4 threads,
+# and 2048 did not (DECISIONS.md D4, "Why `matvec` takes 128-row chunks").
+_CHUNK_ROWS = 128
 # Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
 # DECISIONS.md D4 has the measurements behind it.
 _TILE = 512
+# Draws per block of generated rows: at most 8 MiB of doubles, even at the dense cap
+# (DECISIONS.md D4, "Block draws").
+_DRAW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -278,13 +283,13 @@ class RevealedView:
             out = v + np.bincount(rows, weights=v[cols], minlength=k)
             return out.astype(np.int64) if exact else out
         if exact:
-            # int32 sums cannot overflow (k * 128 < 2^31 under the dense cap).  At n = 1000
-            # this takes 0.6 ms, against 8 ms for the float copy and a two-thread gemv.
+            # int32 sums cannot overflow (k * 128 < 2^31 under the dense cap), and no float
+            # copy of the matrix is made (DECISIONS.md D3, "The exact recompute").
             return np.einsum("ij,j->i", g.matrix[:k, :k], v.astype(np.int32)).astype(np.int64)
         out = np.empty(v.shape, dtype=np.float64)
         for i0 in range(0, k, _CHUNK_ROWS):
             i1 = min(i0 + _CHUNK_ROWS, k)
-            out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64) @ v
+            out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64, copy=False) @ v
         return out
 
 
@@ -372,12 +377,28 @@ def _mirror_upper(a: np.ndarray) -> None:
                 block += block.T
 
 
-def _symmetric(n: int, dtype, upper_row, diag) -> np.ndarray:
-    """Symmetric matrix whose row i right of the diagonal is ``upper_row(i)``, in row order."""
+def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:
+    """Symmetric matrix whose strict upper triangle, read row by row, is drawn by ``draw``.
+
+    ``draw(k)`` returns the next k entries; it is called once per block of
+    whole rows holding at most ``_DRAW_BLOCK`` entries, and a longer row is a
+    block of its own.  ``row(i, values)``, when given, maps row i's slice of
+    its block to the row's entries.
+    """
     check_dense_size(n)
     a = np.zeros((n, n), dtype=dtype)
-    for i in range(n - 1):
-        a[i, i + 1:] = upper_row(i)
+    i = 0
+    while i < n - 1:
+        j, size = i + 1, n - i - 1
+        while j < n - 1 and size + n - j - 1 <= _DRAW_BLOCK:
+            size += n - j - 1
+            j += 1
+        block, start = draw(size), 0
+        for r in range(i, j):
+            stop = start + n - r - 1
+            a[r, r + 1:] = block[start:stop] if row is None else row(r, block[start:stop])
+            start = stop
+        i = j
     _mirror_upper(a)
     np.fill_diagonal(a, diag)
     return a
@@ -387,7 +408,7 @@ def gen_er(params: ErParams, seed) -> Graph:
     """Erdos-Renyi adjacency: off-diagonal edges iid Bernoulli(p), unit diagonal."""
     n, p = params.n, params.p
     rng = np.random.default_rng(seed)
-    return Graph(_symmetric(n, np.uint8, lambda i: rng.random(n - i - 1) < p, 1))
+    return Graph(_symmetric(n, np.uint8, lambda k: rng.random(k) < p, 1))
 
 
 def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
@@ -404,12 +425,10 @@ def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
         labels = np.asarray(labels, dtype=np.int8)
         if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
             raise ParameterError("labels must be n values in {0, 1}")
-
-    def upper_row(i):
-        rates = np.where(labels[i + 1:] == labels[i], params.p_in, params.p_out)
-        return rng.random(n - i - 1) < rates
-
-    return Graph(_symmetric(n, np.uint8, upper_row, 1))
+    # rates[g, j]: the edge rate between a node of group g and node j.
+    rates = np.where(labels == np.array([[0], [1]]), params.p_in, params.p_out)
+    return Graph(_symmetric(n, np.uint8, rng.random, 1,
+                            lambda i, u: u < rates[labels[i], i + 1:]))
 
 
 def gen_goe(params: GoeParams, seed) -> Graph:
@@ -417,7 +436,7 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     n = params.n
     sigma = float(np.sqrt(params.sigma2))
     rng = np.random.default_rng(seed)
-    return Graph(_symmetric(n, np.float64, lambda i: rng.normal(0.0, sigma, n - i - 1), 1.0))
+    return Graph(_symmetric(n, np.float64, lambda k: rng.normal(0.0, sigma, k), 1.0))
 
 
 def scale_weights(g: Graph, c: float) -> Graph:

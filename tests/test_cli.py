@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from netrand import ErParams, gen_er, write_edge_list, summarize
 from netrand.montecarlo import ResultRow
+import netrand
 from netrand import cli, graph, montecarlo
 from netrand.cli import main
 
@@ -25,9 +30,13 @@ def write_er_fixture(path, n=60, p=0.15, seed=3):
 
 # sha256 of small CLI outputs, recorded with numpy 2.4.6.  Most cells come from exact
 # integer arithmetic and short fixed-order float reductions, so these bytes hold
-# while the streams do.  The GOE entry pins the weighted I2 and the W column, which
-# gave the same bytes with one and with two BLAS threads.
+# while the streams do.  The GOE entries pin the weighted I2 and the W column.  The
+# "-1500" entries, recorded under one BLAS thread, draw their 1500-node graphs in two
+# blocks and take W's mat-vec in many row chunks; their bytes must not depend on the
+# BLAS thread count (test_outcome_bytes_independent_of_blas_threads).
 # "stdout" names the printed report of a command that writes no file.
+OUTCOME_FLAGS = ["--b", "0.95", "--policy", "both", "--mu0", "1", "--mu1", "0", "--sigma-z", "1",
+                 "--sigma-eps", "1", "--reps", "2", "--seed", "21"]
 GOLDEN = {
     "simulate-er": (
         ["simulate", "--model", "er", "--n", "20", "--n", "30", "--p", "0.3",
@@ -77,6 +86,29 @@ GOLDEN = {
             "out.summary.csv": "7c14bbdb5ee3b576be339a8005dae381b5f06c581fa1878bb77e0bdf177be223",
         },
     ),
+    "simulate-er-1500": (
+        ["simulate", "--model", "er", "--n", "300", "--n", "1500", "--p", "0.2", *OUTCOME_FLAGS],
+        {
+            "out.csv": "8748dc57622b0addc1704b437f88440d6cf1dec16a4e26266e0da5159c95aa70",
+            "out.summary.csv": "a6ef3f024ef26f2b888721942dac10962ec75ad2935ff5cd7b96f69ffff287be",
+        },
+    ),
+    "simulate-sbm-1500": (
+        ["simulate", "--model", "sbm", "--n", "1500", "--p-in", "0.3", "--p-out", "0.05",
+         *OUTCOME_FLAGS],
+        {
+            "out.csv": "970f8d81895e1a306efecb955f8d26c475e6d2021dd5182bbca91e79cd77de65",
+            "out.summary.csv": "0985e3e0e6bfb5905314404639a5020e506df163fcf484919d8bed1a481348ac",
+        },
+    ),
+    "simulate-goe-1500": (
+        ["simulate", "--model", "goe", "--n", "300", "--n", "1500", "--sigma2", "0.2",
+         *OUTCOME_FLAGS],
+        {
+            "out.csv": "453fa6e39e1647c0c666df3d3b58d0c1c2a843a07344a90f5f2b24a20b7c16f9",
+            "out.summary.csv": "294a166bf43981a51821c967856c07f90e43ddeb5ddff532a29498af8011a667",
+        },
+    ),
     "oracle": (
         ["oracle", "--n", "10", "--p", "0.4", "--mc-reps", "2000"],
         {"stdout": "f125cdfe8c77bf4ba907d174880f833f29304739b33aa9dbf377d5a8e9c9fa1c"},
@@ -98,6 +130,21 @@ def test_golden_output_bytes(tmp_path, capsys, name):
     if "stdout" in digests:
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == digests
+
+
+def test_outcome_bytes_independent_of_blas_threads(tmp_path):
+    # W's float mat-vec runs through BLAS; OpenBLAS reads its thread count at import,
+    # so each count needs its own process.
+    argv = GOLDEN["simulate-er-1500"][0]
+    src = str(Path(netrand.__file__).resolve().parent.parent)
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-m", "netrand", *argv, "--out", str(out)], env=env, check=True)
+        outputs[threads] = out.read_bytes(), (tmp_path / f"threads{threads}.summary.csv").read_bytes()
+    assert outputs["1"] == outputs["2"]
 
 
 class TestSimulate:

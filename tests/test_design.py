@@ -367,19 +367,21 @@ def test_incremental_exactness_property(pairs, p, policy, seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 50_000))
 def test_maintained_s_matches_dense_recompute(pairs, seed):
-    # the maintained signed row-sum prefix equals A^(2m) tau entrywise
+    # the maintained signed row-sum prefix equals A^(2m) tau entrywise, on a dense view
+    # (slice columns) and on a neighbour-list view (index-array columns)
     g = gen_er(ErParams(2 * pairs, 0.4), seed=seed)
-    rng = np.random.default_rng(seed)
-    view = RevealedView(g)
-    st_ = empty_state(g.n)
     cfg = DesignConfig(ADAPTIVE, b=0.9)
-    for m in range(pairs):
-        view.reveal_to(2 * m + 2)
-        step(st_, increment_from_view(view, st_), cfg, rng)
-        k = 2 * st_.pairs
-        dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
-        assert np.array_equal(st_.s, dense)
-        assert st_.i2 == float(dense @ dense)
+    for storage in (g, csr_from_edges(g.n, *upper_edges(g))):
+        rng = np.random.default_rng(seed)
+        view = RevealedView(storage)
+        st_ = empty_state(g.n)
+        for m in range(pairs):
+            view.reveal_to(2 * m + 2)
+            step(st_, increment_from_view(view, st_), cfg, rng)
+            k = 2 * st_.pairs
+            dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
+            assert np.array_equal(st_.s, dense)
+            assert st_.i2 == float(dense @ dense)
 
 
 @settings(max_examples=40, deadline=None)

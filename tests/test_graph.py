@@ -156,6 +156,52 @@ def test_generator_invariants(n, p, seed):
     assert (np.diagonal(w.matrix) == 1.0).all()
 
 
+def per_row_reference(n, dtype, upper_row, diag):
+    """The generators' matrix drawn one row at a time: row i right of the diagonal is ``upper_row(i)``."""
+    a = np.zeros((n, n), dtype=dtype)
+    for i in range(n - 1):
+        a[i, i + 1:] = upper_row(i)
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    np.fill_diagonal(a, diag)
+    return a
+
+
+edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 12), st.integers(2, 300)), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.tuples(edge_rates, edge_rates).map(sorted), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([7, 64, graph._DRAW_BLOCK]))
+def test_generators_match_per_row_draws(n, p, sbm_rates, forced, seed, budget):
+    """Block draws give the bytes of one ``random``/``normal`` call per row, in row order.
+
+    A budget of 7 or 64 draws makes rows cross block boundaries and rows longer than
+    a block; with the default, every n here is one block.
+    """
+    p_out, p_in = sbm_rates
+    labels = np.random.default_rng(seed + 1).integers(0, 2, n) if forced else None
+    with mock.patch.object(graph, "_DRAW_BLOCK", budget):
+        er = gen_er(ErParams(n, p), seed)
+        sbm = gen_sbm(SbmParams(n, p_in, p_out), seed, labels=labels)
+        goe = gen_goe(GoeParams(n, p), seed)
+
+    rng = np.random.default_rng(seed)
+    expect = per_row_reference(n, np.uint8, lambda i: rng.random(n - i - 1) < p, 1)
+    assert er.matrix.tobytes() == expect.tobytes()
+
+    rng = np.random.default_rng(seed)
+    groups = (rng.random(n) < 0.5).astype(np.int8) if labels is None else labels
+    expect = per_row_reference(
+        n, np.uint8, lambda i: rng.random(n - i - 1) < np.where(groups[i + 1:] == groups[i], p_in, p_out), 1)
+    assert sbm.matrix.tobytes() == expect.tobytes()
+
+    rng, sigma = np.random.default_rng(seed), float(np.sqrt(p))
+    expect = per_row_reference(n, np.float64, lambda i: rng.normal(0.0, sigma, n - i - 1), 1.0)
+    assert goe.matrix.tobytes() == expect.tobytes()
+
+
 class TestEdgeList:
     def test_duplicate_collapse_and_symmetry(self):
         g = from_edge_list(io.StringIO("# c\n0 1\n1 0\n")).to_dense()

@@ -2,10 +2,10 @@
 
 Subjects arrive in pairs and each pair receives opposite treatments.  The
 engine maintains the signed row-sum vector S of the revealed adjacency prefix
-and its squared norm (the squared imbalance) and evaluates both candidate
-assignments of a new pair from the two newly revealed rows, read over the
-pair's prefix columns N (all of them on a dense graph, the pair's neighbours
-on neighbour lists): O(|N|) per pair.
+(and, in the scalar loops, its squared norm: the squared imbalance) and
+evaluates both candidate assignments of a new pair from the two newly revealed
+rows, read over the pair's prefix columns N (all of them on a dense graph, the
+pair's neighbours on neighbour lists): O(|N|) per pair.
 
 State is kept in float64, but in Python integers by the scalar loop on
 neighbour lists.  For binary graphs every float is an integer below 2**53 (the
@@ -318,20 +318,22 @@ def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
 def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:
     """Final squared imbalances of ``reps`` independent runs on a fixed graph.
 
-    Vectorizes the per-step coin across replicates; each replicate consumes
-    the same draws it would in :func:`run_design` when fed column r of the
-    per-step uniform blocks (property-tested against the scalar engine).
-    Reads the graph through a :class:`RevealedView` revealed pair by pair,
-    as :func:`run_design` does, and touches only the new pair's prefix
-    columns N (:meth:`RevealedView.pair_neighbours`): S and the signs are
-    kept subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]``
-    are row gathers.  The candidates are ``c + d`` (pair gets (0,1)) and
-    ``c - d`` (pair gets (1,0)), so the coin is decided by the sign of d.
-    Returns int64 for binary graphs, float64 for weighted ones.  The odd-n
-    convention applies: a trailing unpaired subject never changes the value.
-    A fair coin on a binary graph (:func:`_fair_coin`) takes no loop: the
-    signs come from the same uniforms, drawn as one (pairs, reps) block, and
-    each replicate's I^2 from one recompute.
+    Vectorizes the per-step coin across replicates.  The uniforms come as one
+    (pairs, reps) block, the doubles of one ``rng.random(reps)`` per pair, and
+    replicate r consumes the draws :func:`run_design` does when fed column r
+    (property-tested against the scalar engine).  The candidates are ``c + d``
+    (pair gets (0,1)) and ``c - d`` (pair gets (1,0)), so the coin reads sign(d)
+    against an int8 table of the block.  Reads the graph through a
+    :class:`RevealedView` revealed pair by pair, as :func:`run_design` does,
+    and touches only the new pair's prefix columns N
+    (:meth:`RevealedView.pair_neighbours`): S and the signs are kept
+    subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]`` are
+    row gathers.  S is A tau over the paired prefix, so each final is the
+    squared norm of a column of S.  Returns int64 for binary graphs, float64
+    for weighted ones.  The odd-n convention applies: a trailing unpaired
+    subject never changes the value.  A fair coin on a binary graph
+    (:func:`_fair_coin`) takes no loop: the signs come from the uniforms
+    alone, and each replicate's I^2 from one recompute.
     """
     n = g.n
     if n < 2:
@@ -340,37 +342,45 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
         raise ParameterError("reps must be at least 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    # The loop's per-pair rng.random(reps) blocks, drawn at once in row order.
+    u = rng.random((n // 2, reps))
     if _fair_coin(g, cfg):
-        # The loop's per-pair rng.random(reps) blocks, drawn at once in row order.
-        return imbalance_recompute(g, _fair_pairs(rng.random((n // 2, reps))))
+        return imbalance_recompute(g, _fair_pairs(u))
     bias = cfg.effective_b - 0.5
+    # k = 2 #{t in (1/2 + bias, 1/2, 1/2 - bias) : u < t} - 3, so the scalar loop's test
+    # u < 1/2 - bias sign(d), which gives the pair (0,1), holds exactly when k - 2 sign(d) > 0.
+    k = (u < 0.5 + bias).astype(np.int8)
+    for t in (0.5, 0.5 - bias):
+        k += u < t  # int8 plus bool counts; bool plus bool would be a logical or
+    del u
+    k *= 2
+    k -= 3
     n2 = n - (n % 2)
     view = RevealedView(g)
     # Subject-major: row j holds subject j's entry of S and its sign in every replicate.
     s = np.zeros((n2, reps), dtype=np.float64)
     tau = np.zeros((n2, reps), dtype=np.float64)
-    i2 = np.zeros(reps, dtype=np.float64)
-    pair_signs = np.array([1.0, -1.0])
-    # The first pair has no prefix neighbours, so d = 0 and its coin is the fair one.
-    for length in range(0, n2, 2):
+    for m, length in enumerate(range(0, n2, 2)):
         view.reveal_to(length + 2)
         cols, vals, e = view.pair_neighbours(length)
         if isinstance(cols, slice):
             # Dense rows: keep the nonzero columns, so a pair costs O(|N| reps), not O(length reps).
             cols = np.flatnonzero(np.logical_or(vals[0], vals[1]))
             vals = vals[:, cols]
-        block = vals.astype(np.float64)
-        y = block[1] - block[0]
-        z = block @ tau[cols]
-        s_n = s[cols]
-        c = i2 + (float(y @ y) + 2.0 * e * e) + z[0] * z[0] + z[1] * z[1]
-        d = 2.0 * e * (z[0] - z[1]) - 2.0 * (y @ s_n)
-        # P(pair gets (0,1)) is b if d < 0, 1 - b if d > 0 and 1/2 on a tie, exactly.
-        sgn = np.where(rng.random(reps) < 0.5 - bias * np.sign(d), 1.0, -1.0)
-        i2 = c + sgn * d
-        s_n -= np.multiply.outer(y, sgn)
-        s[cols] = s_n
-        tau_new = np.multiply.outer(pair_signs, sgn)
-        tau[length:length + 2] = tau_new
-        s[length:length + 2] = z + e * tau_new
-    return _i2_result(g, i2)
+        if cols.size:
+            block = vals.astype(np.float64)
+            y = block[1] - block[0]
+            z = block @ tau[cols]
+            s_n = s[cols]
+            # d / 2: halving is exact, so its sign is d's.
+            sgn = np.sign(k[m] - 2.0 * np.sign(e * (z[0] - z[1]) - y @ s_n))
+            s_n -= np.multiply.outer(y, sgn)
+            s[cols] = s_n
+        else:
+            # No prefix neighbours, as for the first pair: d = 0 and the coin is the fair one.
+            sgn = np.sign(k[m], dtype=np.float64)
+            z = 0.0
+        tau[length] = sgn
+        np.negative(sgn, out=tau[length + 1])
+        s[length:length + 2] = z + e * tau[length:length + 2]
+    return _i2_result(g, np.einsum("ij,ij->j", s, s))

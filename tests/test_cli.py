@@ -113,6 +113,11 @@ GOLDEN = {
         ["oracle", "--n", "10", "--p", "0.4", "--mc-reps", "2000"],
         {"stdout": "f125cdfe8c77bf4ba907d174880f833f29304739b33aa9dbf377d5a8e9c9fa1c"},
     ),
+    # 100000 replicates of one graph: pins the batched kernel's coin table at many replicates
+    "oracle-100000": (
+        ["oracle", "--n", "20", "--p", "0.5", "--mc-reps", "100000"],
+        {"stdout": "69c5d559db874cc8830174bd921fb6caf3b8d752abd197e65282f8df3ae944bf"},
+    ),
 }
 
 

@@ -17,11 +17,13 @@ from netrand import (
     ParameterError,
     RevealedView,
     SbmParams,
+    from_edge_list,
     gen_er,
     gen_goe,
     gen_sbm,
     imbalance_recompute,
     induced_subgraph_sample,
+    reduction_report,
     run_design,
     run_design_many,
     scale_weights,
@@ -55,12 +57,25 @@ class Recorder:
         return u
 
 
+class Fixed:
+    """Hands the batched engine one given (pairs, reps) block of uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+        self.blocks = []
+
+    def random(self, size=None):
+        assert size == self.u.shape and not self.blocks
+        self.blocks.append(self.u)
+        return self.u
+
+
 def batched_and_scalar(g, cfg, reps, rec):
     """``run_design_many`` finals, and ``run_design`` fed column r of its draws per replicate."""
     first = len(rec.blocks)
     finals = run_design_many(g, cfg, reps, rng=rec)
-    # one (reps,) block per pair from the loop, or one (pairs, reps) block from the fair-coin arm
-    draws = np.concatenate([b.reshape(-1, reps) for b in rec.blocks[first:]])
+    # one (pairs, reps) block, drawn before the loop and before the fair-coin arm's recompute
+    (draws,) = rec.blocks[first:]
     assert draws.shape == (g.n // 2, reps)
     # the scalar loop also draws a fair coin for an odd trailing subject
     tail = [0.5] * (g.n % 2)
@@ -630,9 +645,51 @@ def test_weighted_fair_coin_keeps_the_loop(monkeypatch):
         calls.append(cfg)
         return run_design(g, cfg)
 
+    def no_recompute(*args):
+        raise AssertionError("a weighted graph's fair coin took the loop-free arm")
+
     monkeypatch.setattr(design, "run_design", recording)
     tau, final_i2 = design.run_design_final(g, cfg)
     assert calls == [cfg] and isinstance(final_i2, float)
+    monkeypatch.setattr(design, "imbalance_recompute", no_recompute)
     rec = Recorder(5)
-    run_design_many(g, cfg, 4, rng=rec)
-    assert [b.shape for b in rec.blocks] == [(4,)] * 7
+    assert run_design_many(g, cfg, 4, rng=rec).dtype == np.float64
+    assert [b.shape for b in rec.blocks] == [(7, 4)]
+
+
+def test_batched_finals_on_a_neighbour_list_sample():
+    # Values of the per-pair-draw loop, before the coins were drawn as one block.
+    rng = np.random.default_rng(2024)
+    n = 3000
+    w = rng.pareto(1.5, n) + 1
+    u = rng.choice(n, 12000, p=w / w.sum())
+    v = rng.integers(0, n, 12000)
+    g = induced_subgraph_sample(from_edge_list([f"{a} {b}" for a, b in zip(u.tolist(), v.tolist())]), 1999, 5)
+    assert isinstance(g, CsrGraph) and g.n == 1999 and g.indices.size == 2 * 4873
+    expected = {
+        0.85: [7516, 7256, 7348, 7016, 7312, 7280, 7448, 7112, 7276, 6708, 6720, 7080],
+        1.0: [5984, 5980, 5964, 6136, 6288, 6228, 5924, 5972, 5708, 5600, 5884, 5968],
+        0.55: [10476, 11352, 10988, 11280, 10860, 10556, 10580, 10640, 10516, 11592, 11008, 10376],
+    }
+    for b, finals in expected.items():
+        got = run_design_many(g, DesignConfig(ADAPTIVE, b), 12, rng=np.random.default_rng(17))
+        assert got.dtype == np.int64 and got.tolist() == finals
+    assert reduction_report(g, b=0.85, reps=12, seed=17).reduction == 0.22377918516779582
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_graphs(), st.sampled_from([0.5, 0.85, 1.0]), st.integers(0, 100_000))
+def test_batched_coin_at_its_thresholds(g, b, seed):
+    """Uniforms equal to 1 - b, 1/2 or b lose the coin, in the batched table as in the scalar loop."""
+    reps = 6
+    rng = np.random.default_rng(seed)
+    u = rng.random((g.n // 2, reps))
+    at_threshold = rng.random(u.shape) < 1 / 3
+    u[at_threshold] = rng.choice([1.0 - b, 0.5, b], at_threshold.sum())
+    cfg = DesignConfig(ADAPTIVE, b)
+    finals, scalar = batched_and_scalar(g, cfg, reps, Fixed(u))
+    assert finals.tolist() == scalar
+    # b = 1/2 on a binary graph takes the loop-free arm; the loop's table must agree with it too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_fair_coin", lambda g, cfg: False)
+        assert run_design_many(g, cfg, reps, rng=Fixed(u)).tolist() == scalar

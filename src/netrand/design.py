@@ -125,21 +125,22 @@ def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float,
     return i2_01, i2_10
 
 
-def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, rng) -> DesignState:
+def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, u: float) -> DesignState:
     """Apply the biased coin to the candidate pair and extend the state.
 
-    The strictly smaller candidate wins with probability b, the larger with
-    1 - b, exact ties fall to a fair coin; exactly one uniform draw is
-    consumed.  Ties are detected by exact comparison (integer-exact for
-    binary graphs; no tolerance for weighted ones, where ties have measure
-    zero and an epsilon would change the procedure's law).  The pair gets
-    signs (sigma, -sigma), and the update is DECISIONS.md D3's, as in
+    ``u`` is the pair's uniform.  The strictly smaller candidate wins with
+    probability b, the larger with 1 - b, exact ties fall to a fair coin: the
+    pair gets (0, 1) when ``u`` is below 1/2 - (b - 1/2) sign(i2_01 - i2_10).
+    Ties are detected by exact comparison (integer-exact for binary graphs;
+    no tolerance for weighted ones, where ties have measure zero and an
+    epsilon would change the procedure's law).  The pair gets signs
+    (sigma, -sigma), and the update is DECISIONS.md D3's, as in
     :func:`run_design_many`.
     """
     i2_01, i2_10 = candidate_imbalances(state, inc)
     # P(pair gets (0,1)) = 1/2 - (b - 1/2) sign(i2_01 - i2_10): b, 1 - b or 1/2, exactly.
     sign = (i2_01 > i2_10) - (i2_01 < i2_10)
-    sigma = 1.0 if rng.random() < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
+    sigma = 1.0 if u < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
     length = 2 * state.pairs
     # s[N] -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
     s_n = state.s_buf[inc.cols]
@@ -175,7 +176,9 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
 
     Only the revealed principal submatrix is ever read while assigning.  An
     odd trailing subject is assigned by a fair coin.  Randomness budget: one
-    uniform per pair by ``rng.random()``, then one for an odd trailing subject.
+    ``rng.random(pairs)`` block before the first pair, pair m reading its
+    m-th uniform, then one ``rng.random()`` for an odd trailing subject; a
+    numpy ``Generator`` gives the doubles of one ``rng.random()`` per pair.
     A ``CsrGraph`` runs :func:`_run_on_lists`, with the same draws and results.
     """
     n = g.n
@@ -185,39 +188,43 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
         rng = np.random.default_rng(cfg.seed)
     view = RevealedView(g)
     pairs = n // 2
+    draws = rng.random(pairs).tolist()
     if isinstance(g, CsrGraph):
-        paired, trajectory = _run_on_lists(view, pairs, cfg, rng)
+        paired, trajectory = _run_on_lists(view, draws, cfg)
         return DesignResult(_all_signs(paired, n, rng), trajectory, trajectory[-1].item())
     state = DesignState(0, np.zeros(2 * pairs), np.zeros(2 * pairs), 0.0)
     traj = np.empty(pairs, dtype=np.float64)
     # The first pair has an empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
-    for m in range(pairs):
+    for m, u in enumerate(draws):
         view.reveal_to(2 * m + 2)
         inc = increment_from_view(view, state)
-        step(state, inc, cfg, rng)
+        step(state, inc, cfg, u)
         traj[m] = state.i2
     trajectory = _i2_result(g, traj)
     return DesignResult(_all_signs(state.tau_buf, n, rng), trajectory, trajectory[-1].item())
 
 
-def _run_on_lists(view: RevealedView, pairs: int, cfg: DesignConfig, rng):
+def _run_on_lists(view: RevealedView, draws: list[float], cfg: DesignConfig):
     """``run_design``'s loop on neighbour lists in exact Python ints: paired signs, int64 I^2s.
 
-    A pair's prefix neighbours come split by side (:meth:`RevealedView.pair_sides`),
-    so y is -1, +1 or 0 on them; the coin and update are ``run_design_many``'s.
+    Pair m reads the uniform ``draws[m]``.  A pair's prefix neighbours come
+    split by side (:meth:`RevealedView.pair_sides`), so y is -1, +1 or 0 on
+    them; the coin and update are ``run_design_many``'s.
     """
     bias = cfg.effective_b - 0.5
+    pairs = len(draws)
     s, tau, traj = [0] * (2 * pairs), [0] * (2 * pairs), array("q")
     s_at, tau_at = s.__getitem__, tau.__getitem__
     i2, sides = 0, view.pair_sides()
-    for length in range(0, 2 * pairs, 2):
+    for length, u in zip(range(0, 2 * pairs, 2), draws):
         view.reveal_to(length + 2)
         first, second, both, e = next(sides)
-        z1 = sum(map(tau_at, first)) + sum(map(tau_at, both))
-        z2 = sum(map(tau_at, second)) + sum(map(tau_at, both))
+        z_both = sum(map(tau_at, both))
+        z1 = sum(map(tau_at, first)) + z_both
+        z2 = sum(map(tau_at, second)) + z_both
         # The candidates are c + d for (0, 1) and c - d for (1, 0), so sign(d) is their comparison.
         d = 2 * e * (z1 - z2) - 2 * (sum(map(s_at, second)) - sum(map(s_at, first)))
-        sigma = 1 if rng.random() < 0.5 - bias * ((d > 0) - (d < 0)) else -1
+        sigma = 1 if u < 0.5 - bias * ((d > 0) - (d < 0)) else -1
         for j in first:
             s[j] += sigma
         for j in second:

@@ -524,6 +524,11 @@ def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
     be canonical (``str(int(token)) == token``, at most 18 digits), so ids
     and labels correspond one to one.  Anything else returns None, and the
     line loop parses the file and reports any error.
+
+    First-appearance ids come from one sort of ``value << b | position``
+    keys, b the bit length of the token count, when every id is below
+    2^(63 - b); larger ids take an ``argsort`` of the values instead
+    (DECISIONS.md D5).
     """
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     while start < len(data):
@@ -554,16 +559,30 @@ def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
         blocks.append(values)
         start = stop
     values = np.concatenate(blocks)
-    # First-appearance ids: sort, then each distinct value's first position.
-    order = np.argsort(values)
-    ranked = values[order]
-    head = np.flatnonzero(np.diff(ranked, prepend=-1))
-    by_first = np.argsort(np.minimum.reduceat(order, head))
-    labels = tuple(map(str, ranked[head[by_first]].tolist()))
-    new_id = np.empty_like(by_first)
-    new_id[by_first] = np.arange(by_first.size)
-    ends = np.empty_like(order)
-    ends[order] = np.repeat(new_id, np.diff(head, append=order.size))
+    size = values.size
+    bits = size.bit_length()  # every position is below 2**bits
+    # Each value's positions as one group (``order`` over ``head``), and its first position.
+    if values.max() >> (63 - bits):
+        # A key would pass 63 bits: argsort the values, and take each group's least position.
+        order = np.argsort(values)
+        head = np.flatnonzero(np.diff(values[order], prepend=-1))
+        first = np.minimum.reduceat(order, head)
+    else:
+        # One sort of value << bits | position keys: each group starts at its first position.
+        order = values << bits
+        order |= np.arange(size)
+        order.sort()
+        head = np.flatnonzero(np.diff(order >> bits, prepend=-1))
+        order &= (1 << bits) - 1
+        first = order[head]
+    first_seen = np.zeros(size, dtype=bool)
+    first_seen[first] = True
+    labels = tuple(map(str, values[first_seen].tolist()))
+    # A value's id is the number of first appearances before its own.
+    rank = np.cumsum(first_seen)
+    rank -= 1
+    ends = values  # overwritten in place: every value is read by now
+    ends[order] = np.repeat(rank[first], np.diff(head, append=size))
     return ends, labels
 
 
@@ -627,7 +646,7 @@ def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:
     idx = np.random.default_rng(seed).permutation(g.n)[:k]
     labels = None
     if g.labels is not None:
-        labels = tuple(g.labels[i] for i in idx.tolist())
+        labels = tuple(map(g.labels.__getitem__, idx.tolist()))
     # pos[v] is v's place in the sample, or -1; stored entries come in both orientations.
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)

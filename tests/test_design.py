@@ -32,16 +32,21 @@ from netrand.design import DesignState, candidate_imbalances, increment_from_vie
 
 
 class Replay:
-    """Feeds a fixed sequence of uniforms to the engine and counts consumption."""
+    """Feeds a fixed sequence of uniforms to the engine, counting them and recording each draw's size."""
 
     def __init__(self, seq):
         self.seq = list(seq)
         self.used = 0
+        self.sizes = []
 
     def random(self, size=None):
-        assert size is None
-        self.used += 1
-        return self.seq[self.used - 1]
+        self.sizes.append(size)
+        if size is None:
+            self.used += 1
+            return self.seq[self.used - 1]
+        assert self.used + size <= len(self.seq)
+        self.used += size
+        return np.array(self.seq[self.used - size:self.used])
 
 
 class Recorder:
@@ -123,7 +128,7 @@ def first_step(g, rng, cfg=DesignConfig(), view=None):
     """State after the first ``step``: pair (0, 1) decided over the empty prefix."""
     st_ = empty_state(g.n)
     inc = increment_from_view(revealed(g, 2) if view is None else view, st_)
-    return step(st_, inc, cfg, rng)
+    return step(st_, inc, cfg, rng.random())
 
 
 class TestFirstPair:
@@ -206,7 +211,7 @@ def test_increment_identity_z2_minus_z1(pairs, seed):
         view.reveal_to(2 * m + 2)
         inc = increment_from_view(view, st_)
         assert inc.z2 - inc.z1 == pytest.approx(float(st_.tau @ inc.y))
-        step(st_, inc, cfg, rng)
+        step(st_, inc, cfg, rng.random())
 
 
 class TestStep:
@@ -218,7 +223,7 @@ class TestStep:
             view = revealed(g, 4)
             inc = increment_from_view(view, st_)
             i2_01, i2_10 = candidate_imbalances(st_, inc)
-            step(st_, inc, DesignConfig(ADAPTIVE, b=1.0), rng)
+            step(st_, inc, DesignConfig(ADAPTIVE, b=1.0), rng.random())
             if i2_01 != i2_10:
                 assert st_.i2 == min(i2_01, i2_10)
 
@@ -242,7 +247,7 @@ class TestStep:
             st_ = first_step(g, Replay([first]), cfg)
             inc = increment_from_view(revealed(g, 4), st_)
             assert candidate_imbalances(st_, inc) == candidates
-            step(st_, inc, cfg, Replay([u]))
+            step(st_, inc, cfg, u)
             assert st_.tau[2:].tolist() == [sign, -sign]
             assert st_.i2 == candidates[0 if sign > 0 else 1]
         # ties, at the first pair and at a later one, compare the uniform with 1/2
@@ -251,7 +256,7 @@ class TestStep:
         st_ = first_step(tied, Replay([0.25]), cfg)
         inc = increment_from_view(revealed(tied, 4), st_)
         assert candidate_imbalances(st_, inc) == (0.0, 0.0)
-        assert step(st_, inc, cfg, Replay([0.5])).tau[2:].tolist() == [-1.0, 1.0]
+        assert step(st_, inc, cfg, 0.5).tau[2:].tolist() == [-1.0, 1.0]
 
     def test_half_b_equals_random_policy(self):
         g = gen_er(ErParams(40, 0.3), seed=1)
@@ -296,12 +301,14 @@ class TestRunDesign:
         replay = Replay([0.3] * 5)
         run_design(g, DesignConfig(ADAPTIVE, b=0.9), rng=replay)
         assert replay.used == 5  # one for the first pair, one per later pair
+        assert replay.sizes == [5]  # drawn as one block before the first pair
 
     def test_odd_n_consumes_extra_draw_and_reports_convention(self):
         g = gen_er(ErParams(11, 0.5), seed=3)
         replay = Replay([0.3] * 6)
         res = run_design(g, DesignConfig(ADAPTIVE, b=0.9), rng=replay)
         assert replay.used == 6
+        assert replay.sizes == [5, None]  # the pairs' block, then the trailing subject's scalar
         assert res.final_i2 == res.i2_trajectory[-1]
         assert res.final_i2 == imbalance_recompute(g, res.tau[:10], 10)
 
@@ -392,7 +399,7 @@ def test_maintained_s_matches_dense_recompute(pairs, seed):
         st_ = empty_state(g.n)
         for m in range(pairs):
             view.reveal_to(2 * m + 2)
-            step(st_, increment_from_view(view, st_), cfg, rng)
+            step(st_, increment_from_view(view, st_), cfg, rng.random())
             k = 2 * st_.pairs
             dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
             assert np.array_equal(st_.s, dense)
@@ -571,8 +578,9 @@ def test_neighbour_lists_match_dense_under_one_stream(g, policy_b, seed):
     uniforms[at_threshold] = rng.choice([1.0 - cfg.b, 0.5, cfg.b], at_threshold.sum())
     replays = [Replay(uniforms), Replay(uniforms)]
     a, b = run_design(g, cfg, rng=replays[0]), run_design(dense, cfg, rng=replays[1])
-    # one uniform per pair, then one for an odd trailing subject, each drawn without a size
+    # one block of a uniform per pair, then one scalar for an odd trailing subject
     assert [r.used for r in replays] == [uniforms.size] * 2
+    assert [r.sizes for r in replays] == [[g.n // 2] + [None] * (g.n % 2)] * 2
     assert a.tau.dtype == b.tau.dtype == np.int8 and np.array_equal(a.tau, b.tau)
     assert a.i2_trajectory.dtype == b.i2_trajectory.dtype == np.int64
     assert np.array_equal(a.i2_trajectory, b.i2_trajectory)
@@ -582,6 +590,24 @@ def test_neighbour_lists_match_dense_under_one_stream(g, policy_b, seed):
     assert np.array_equal(*many)
     n2 = g.n - g.n % 2
     assert imbalance_recompute(g, a.tau[:n2]) == imbalance_recompute(dense, a.tau[:n2]) == a.final_i2
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 41])
+def test_stream_advances_by_the_randomness_budget_on_both_storages(n):
+    """After ``run_design`` a Generator's next double is that of a fresh one after pairs + n % 2 draws.
+
+    Those scalar draws, replayed, give the same signs as the block.
+    """
+    dense = gen_er(ErParams(n, 0.3), seed=n)
+    cfg = DesignConfig(ADAPTIVE, b=0.9)
+    fresh = np.random.default_rng(7)
+    scalar_draws = [fresh.random() for _ in range(n // 2 + n % 2)]
+    next_double = fresh.random()
+    for g in (dense, csr_from_edges(n, *upper_edges(dense))):
+        rng = np.random.default_rng(7)
+        res = run_design(g, cfg, rng=rng)
+        assert rng.random() == next_double
+        assert np.array_equal(res.tau, run_design(g, cfg, rng=Replay(scalar_draws)).tau)
 
 
 def test_pair_read_outside_prefix_rejected_on_both_storages():
@@ -595,7 +621,7 @@ def test_pair_read_outside_prefix_rejected_on_both_storages():
                 view.pair_neighbours(length)
         st_ = empty_state(h.n)
         for m in range(3):
-            step(st_, increment_from_view(view, st_), DesignConfig(seed=0), Replay([0.4]))
+            step(st_, increment_from_view(view, st_), DesignConfig(seed=0), 0.4)
         with pytest.raises(ContractError):
             increment_from_view(view, st_)
     sides = RevealedView(g, revealed=6).pair_sides()

@@ -557,6 +557,33 @@ class TestDecimalIdsAgainstLineLoop:
         assert np.array_equal(g.indptr, [0, 3, 5, 7, 8])
         assert np.array_equal(g.indices, [1, 2, 3, 0, 2, 0, 1, 0])
 
+    @given(small=st.lists(st.integers(0, 40), min_size=1, max_size=10),
+           large=st.lists(st.integers(10**18 - 50, 10**18 - 1), max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=4, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_first_appearance_ids_equal_line_loop(self, small, large, picks):
+        """``_decimal_edges``' ends and labels are the loop's, by the key sort and by the fallback.
+
+        Ids are drawn from a few small values, and, when ``large`` is drawn, ids at
+        or above 2^(63 - b) for b the bit length of the token count, which take the
+        argsort fallback.  Picks repeat ids, join an id to itself and often show an
+        id first in the second column.
+        """
+        ids = small + large
+        lines = [f"{ids[u % len(ids)]} {ids[v % len(ids)]}\n" for u, v in picks]
+        tokens = 2 * len(lines)
+        used = {ids[k % len(ids)] for pick in picks for k in pick}
+        if any(i >= 10**18 - 50 for i in used):
+            assert max(used) >= 1 << (63 - tokens.bit_length())  # the fallback's condition
+        else:
+            assert max(used) < 1 << (63 - tokens.bit_length())  # the key sort's
+        got = graph._decimal_edges("".join(lines).encode())
+        with mock.patch.object(graph, "_from_ends", lambda ends, labels: (ends.copy(), labels)):
+            want_ends, want_labels = from_edge_list(lines)
+        assert got is not None
+        assert got[1] == want_labels
+        assert got[0].dtype == np.int64 and np.array_equal(got[0], want_ends)
+
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
     def test_pipe_is_read_once(self):
         # Labels that are not decimal ids send the text to the line loop after the numpy

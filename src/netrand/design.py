@@ -219,9 +219,12 @@ def _run_on_lists(view: RevealedView, draws: list[float], cfg: DesignConfig):
     for length, u in zip(range(0, 2 * pairs, 2), draws):
         view.reveal_to(length + 2)
         first, second, both, e = next(sides)
-        z_both = sum(map(tau_at, both))
-        z1 = sum(map(tau_at, first)) + z_both
-        z2 = sum(map(tau_at, second)) + z_both
+        z1 = sum(map(tau_at, first))
+        z2 = sum(map(tau_at, second))
+        if both:  # columns joined to both subjects are rare on sparse lists
+            z_both = sum(map(tau_at, both))
+            z1 += z_both
+            z2 += z_both
         # The candidates are c + d for (0, 1) and c - d for (1, 0), so sign(d) is their comparison.
         d = 2 * e * (z1 - z2) - 2 * (sum(map(s_at, second)) - sum(map(s_at, first)))
         sigma = 1 if u < 0.5 - bias * ((d > 0) - (d < 0)) else -1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 from array import array
 from dataclasses import dataclass
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -252,10 +253,12 @@ class RevealedView:
             (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
             for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
         del ptr, cols, vals
-        for m, e_m in enumerate(e.astype(np.int64).tolist()):
-            if 2 * m + 2 > self._revealed:
-                raise ContractError(f"pair at {2 * m} outside revealed prefix {self._revealed}")
-            yield c0[o0[m]:o0[m + 1]], c1[o1[m]:o1[m + 1]], c2[o2[m]:o2[m + 1]], e_m
+        # Each pair's bounds in the three tables, read in order rather than indexed by m.
+        bounds = zip(o0, islice(o0, 1, None), o1, islice(o1, 1, None), o2, islice(o2, 1, None))
+        for length, e_m, (a0, b0, a1, b1, a2, b2) in zip(count(0, 2), e.astype(np.int64).tolist(), bounds):
+            if length + 2 > self._revealed:
+                raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
+            yield c0[a0:b0], c1[a1:b1], c2[a2:b2], e_m
 
     def matvec(self, v) -> np.ndarray:
         """Revealed submatrix times ``v``: a length-k vector or a (k, r) block of columns.

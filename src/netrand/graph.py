@@ -253,7 +253,7 @@ class RevealedView:
             (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
             for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
         del ptr, cols, vals
-        # Each pair's bounds in the three tables, read in order rather than indexed by m.
+        # Each pair's bounds in the three offset tables, walked in order: faster than indexing by m.
         bounds = zip(o0, islice(o0, 1, None), o1, islice(o1, 1, None), o2, islice(o2, 1, None))
         for length, e_m, (a0, b0, a1, b1, a2, b2) in zip(count(0, 2), e.astype(np.int64).tolist(), bounds):
             if length + 2 > self._revealed:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .graph import CsrGraph, Graph, RevealedView
+from .graph import CsrGraph, Graph, RevealedView, check_exact_bound
 
 ADAPTIVE = "adaptive"
 RANDOM = "random"
@@ -336,9 +336,10 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     against an int8 table of the block.  Reads the graph through a
     :class:`RevealedView` revealed pair by pair, as :func:`run_design` does,
     and touches only the new pair's prefix columns N
-    (:meth:`RevealedView.pair_neighbours`): S and the signs are kept
+    (:meth:`RevealedView.pair_blocks`): S and the signs are kept
     subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]`` are
-    row gathers.  S is A tau over the paired prefix, so each final is the
+    row gathers.  On neighbour lists ``graph.check_exact_bound`` runs before
+    the first draw.  S is A tau over the paired prefix, so each final is the
     squared norm of a column of S.  Returns int64 for binary graphs, float64
     for weighted ones.  The odd-n convention applies: a trailing unpaired
     subject never changes the value.  A fair coin on a binary graph
@@ -350,6 +351,8 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
         raise ParameterError("design needs at least 2 subjects")
     if reps < 1:
         raise ParameterError("reps must be at least 1")
+    if isinstance(g, CsrGraph):
+        check_exact_bound(g.degrees, n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     # The loop's per-pair rng.random(reps) blocks, drawn at once in row order.
@@ -366,29 +369,21 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     k *= 2
     k -= 3
     n2 = n - (n % 2)
-    view = RevealedView(g)
     # Subject-major: row j holds subject j's entry of S and its sign in every replicate.
     s = np.zeros((n2, reps), dtype=np.float64)
     tau = np.zeros((n2, reps), dtype=np.float64)
-    for m, length in enumerate(range(0, n2, 2)):
-        view.reveal_to(length + 2)
-        cols, vals, e = view.pair_neighbours(length)
-        if isinstance(cols, slice):
-            # Dense rows: keep the nonzero columns, so a pair costs O(|N| reps), not O(length reps).
-            cols = np.flatnonzero(np.logical_or(vals[0], vals[1]))
-            vals = vals[:, cols]
+    # Dense pairs come with their nonzero columns only, so a pair costs O(|N| reps), not O(L reps).
+    for length, k_m, (cols, block, y, e) in zip(range(0, n2, 2), k, RevealedView(g).pair_blocks()):
         if cols.size:
-            block = vals.astype(np.float64)
-            y = block[1] - block[0]
             z = block @ tau[cols]
             s_n = s[cols]
             # d / 2: halving is exact, so its sign is d's.
-            sgn = np.sign(k[m] - 2.0 * np.sign(e * (z[0] - z[1]) - y @ s_n))
+            sgn = np.sign(k_m - 2.0 * np.sign(e * (z[0] - z[1]) - y @ s_n))
             s_n -= np.multiply.outer(y, sgn)
             s[cols] = s_n
         else:
             # No prefix neighbours, as for the first pair: d = 0 and the coin is the fair one.
-            sgn = np.sign(k[m], dtype=np.float64)
+            sgn = np.sign(k_m, dtype=np.float64)
             z = 0.0
         tau[length] = sgn
         np.negative(sgn, out=tau[length + 1])

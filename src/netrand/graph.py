@@ -186,10 +186,14 @@ def check_exact_bound(degrees: np.ndarray, k: int) -> None:
     A signed row sum obeys |s_i| <= d_i + 1 on every induced subgraph, so every
     squared imbalance, candidate and partial sum a design forms is at most
     the sum of (d_i + 1)^2 over the k highest ``degrees``.  Below 2^53 all of
-    them are integers that float64 holds exactly.
+    them are integers that float64 holds exactly.  The sum is taken in int64
+    where k (max d_i + 1)^2 cannot overflow it, else in Python integers.
     """
-    top = np.partition(degrees, degrees.shape[0] - k)[degrees.shape[0] - k:]
-    bound = sum(d * d for d in (top + 1).tolist())
+    top = np.partition(degrees, degrees.shape[0] - k)[degrees.shape[0] - k:] + 1
+    if k * int(top.max()) ** 2 < 2**63:
+        bound = int(top @ top)
+    else:
+        bound = sum(d * d for d in top.tolist())
     if bound >= _EXACT_LIMIT:
         raise ParameterError(
             f"a {k}-node design could reach I^2 = {bound} >= 2^53, past exact float64 integers"
@@ -201,8 +205,8 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
-    ``pair_neighbours`` and ``matvec`` serve a dense ``Graph`` and a ``CsrGraph``
-    alike; ``pair_sides`` reads a ``CsrGraph``'s pairs for Python integer loops.
+    ``pair_neighbours``, ``pair_blocks`` and ``matvec`` serve a dense ``Graph`` and a
+    ``CsrGraph`` alike; ``pair_sides`` reads a ``CsrGraph``'s pairs for Python integer loops.
     """
 
     def __init__(self, graph: Graph | CsrGraph, revealed: int = 0):
@@ -241,6 +245,35 @@ class RevealedView:
         m = length // 2
         lo, hi = ptr[m], ptr[m + 1]
         return cols[lo:hi], vals[:, lo:hi], float(e[m])
+
+    def pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+        """Every pair's prefix read in order, one per ``next``: ``(cols, block, y, e)``.
+
+        Pair m is revealed first, by ``reveal_to(2m + 2)``, so the view must not be
+        revealed past the first pair when the walk starts.  ``cols`` and ``e`` are
+        ``pair_neighbours(2m)``'s, ``block`` its entries as float64 and
+        ``y = block[1] - block[0]``.  On a dense ``Graph`` only the columns where
+        either row is nonzero are kept; on a ``CsrGraph`` the tuples are slices of
+        float64 tables built once per call.
+        """
+        g = self.graph
+        if isinstance(g, Graph):
+            a = g.matrix
+            for length in range(0, g.n - 1, 2):
+                self.reveal_to(length + 2)
+                rows = a[length:length + 2, :length]
+                e = float(a[length, length]) - float(a[length, length + 1])
+                cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
+                block = rows[:, cols].astype(np.float64)
+                yield cols, block, block[1] - block[0], e
+            return
+        ptr, cols, vals, e = _pair_lists(g)
+        blocks = vals.astype(np.float64)
+        ys = blocks[1] - blocks[0]
+        ptr = ptr.tolist()
+        for length, lo, hi, e_m in zip(count(0, 2), ptr, islice(ptr, 1, None), e.tolist()):
+            self.reveal_to(length + 2)
+            yield cols[lo:hi], blocks[:, lo:hi], ys[lo:hi], e_m
 
     def pair_sides(self) -> Iterator[tuple[array, array, array, int]]:
         """``pair_neighbours`` of a ``CsrGraph``'s pairs in order, one per ``next``, split by row.
@@ -282,7 +315,9 @@ class RevealedView:
             inside = cols < k
             rows, cols = rows[inside], cols[inside]
             if v.ndim == 2:
-                return np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in v.T], axis=1)
+                # One contiguous copy, so each column is gathered from contiguous memory.
+                columns = np.ascontiguousarray(v.T)
+                return np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in columns], axis=1)
             out = v + np.bincount(rows, weights=v[cols], minlength=k)
             return out.astype(np.int64) if exact else out
         if exact:

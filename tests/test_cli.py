@@ -118,6 +118,12 @@ GOLDEN = {
         ["oracle", "--n", "20", "--p", "0.5", "--mc-reps", "100000"],
         {"stdout": "69c5d559db874cc8830174bd921fb6caf3b8d752abd197e65282f8df3ae944bf"},
     ),
+    # A sparse graph whose pairs 0 and 1 have no prefix neighbours: pins the batched kernel's
+    # empty-N pairs and dropped zero columns on a dense graph, through the exact-vs-MC check
+    "oracle-sparse": (
+        ["oracle", "--n", "16", "--p", "0.1", "--seed", "2", "--mc-reps", "20000"],
+        {"stdout": "af79ed9af0360424d9674aedc45f30e8fc3d00613f66f55e1732e4d4d90452b4"},
+    ),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netrand.design as design
+import netrand.graph as graph
 from netrand import (
     ADAPTIVE,
     RANDOM,
@@ -701,6 +702,24 @@ def test_batched_finals_on_a_neighbour_list_sample():
         got = run_design_many(g, DesignConfig(ADAPTIVE, b), 12, rng=np.random.default_rng(17))
         assert got.dtype == np.int64 and got.tolist() == finals
     assert reduction_report(g, b=0.85, reps=12, seed=17).reduction == 0.22377918516779582
+
+
+@pytest.mark.parametrize("policy", [ADAPTIVE, RANDOM])
+def test_batched_kernel_checks_the_exactness_bound_before_drawing(monkeypatch, policy):
+    # a 6-node path: its bound, the sum of (d + 1)^2 over all six nodes, is 44
+    g = csr_from_edges(6, np.arange(5), np.arange(1, 6))
+    cfg = DesignConfig(policy, b=0.85)
+    assert run_design_many(g, cfg, 4, rng=np.random.default_rng(3)).shape == (4,)
+    monkeypatch.setattr(graph, "_EXACT_LIMIT", 44)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="2\\^53"):
+        run_design_many(g, cfg, 4, rng=rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ParameterError, match="2\\^53"):
+        reduction_report(g, b=0.85, reps=4, seed=3)
+    # a dense graph is held below the bound by the dense cap, and is not checked
+    assert run_design_many(g.to_dense(), cfg, 4, rng=rng).shape == (4,)
 
 
 @settings(max_examples=40, deadline=None)

@@ -606,6 +606,9 @@ class TestExactBound:
             check_exact_bound(degrees, 2)
         with pytest.raises(ParameterError):
             check_exact_bound(degrees, 5)
+        # squares past 2^63, whose int64 sum would wrap to a number below the bound
+        with pytest.raises(ParameterError):
+            check_exact_bound(np.array([2**32, 1, 2**32], dtype=np.int64), 2)
 
     def test_bound_below_accepted(self):
         d = 2**26 - 1
@@ -743,6 +746,51 @@ class TestRevealedView:
             for length in range(0, n - 1, 2):
                 cols, vals, e = view.pair_neighbours(length)
                 assert cols.shape == (0,) and vals.shape == (2, 0) and e == 1.0
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_er(ErParams(41, 0.3), seed=4),
+            gen_er(ErParams(30, 0.02), seed=8),
+            # weighted, with zero off-diagonal entries where the ER mask has none
+            Graph(gen_goe(GoeParams(41, 0.5), seed=5).matrix * gen_er(ErParams(41, 0.3), seed=6).matrix),
+            identity_graph(9),
+        ],
+        ids=["binary", "sparse", "weighted", "isolated"],
+    )
+    def test_pair_blocks_are_pair_neighbours_without_zero_columns(self, g):
+        stores = [g] if g.weighted else [g, csr_of(g)]
+        for h in stores:
+            view, reference = RevealedView(h), RevealedView(h, revealed=h.n)
+            reads = 0
+            for m, (cols, block, y, e) in enumerate(view.pair_blocks()):
+                assert view._revealed == 2 * m + 2
+                want_cols, vals, want_e = reference.pair_neighbours(2 * m)
+                if isinstance(h, Graph):
+                    # the dense prefix rows, with the columns zero in both dropped
+                    want_cols = np.flatnonzero((vals != 0).any(axis=0))
+                    vals = vals[:, want_cols]
+                assert cols.dtype.kind == "i" and np.array_equal(cols, want_cols)
+                assert block.dtype == y.dtype == np.float64
+                assert np.array_equal(block, vals.astype(np.float64))
+                assert np.array_equal(y, block[1] - block[0])
+                assert type(e) is float and e == want_e
+                reads += 1
+            assert reads == h.n // 2
+        if not g.weighted:
+            # both storages give the same columns and entries, pair for pair
+            for dense, lists in zip(RevealedView(g).pair_blocks(), RevealedView(csr_of(g)).pair_blocks()):
+                assert all(np.array_equal(a, b) for a, b in zip(dense, lists))
+
+    def test_pair_blocks_empty_without_prefix_neighbours(self):
+        # pairs 0 and 1 have no earlier neighbours; in pair 2 only subject 4 is joined to subject 0
+        g = from_edge_list(["0 1", "2 3", "4 0"] + [f"{i} {i}" for i in range(5, 8)])
+        for h in (g, g.to_dense()):
+            reads = list(RevealedView(h).pair_blocks())
+            assert [r[0].tolist() for r in reads] == [[], [], [0], []]
+            assert [r[3] for r in reads] == [0.0, 0.0, 1.0, 1.0]
+            assert reads[0][1].shape == (2, 0) and reads[0][2].shape == (0,)
+            assert reads[2][1].tolist() == [[1.0], [0.0]] and reads[2][2].tolist() == [-1.0]
 
     def test_pair_neighbours_prefix_enforced(self):
         g = complete_graph(10)

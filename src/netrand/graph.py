@@ -186,14 +186,10 @@ def check_exact_bound(degrees: np.ndarray, k: int) -> None:
     A signed row sum obeys |s_i| <= d_i + 1 on every induced subgraph, so every
     squared imbalance, candidate and partial sum a design forms is at most
     the sum of (d_i + 1)^2 over the k highest ``degrees``.  Below 2^53 all of
-    them are integers that float64 holds exactly.  The sum is taken in int64
-    where k (max d_i + 1)^2 cannot overflow it, else in Python integers.
+    them are integers that float64 holds exactly.
     """
-    top = np.partition(degrees, degrees.shape[0] - k)[degrees.shape[0] - k:] + 1
-    if k * int(top.max()) ** 2 < 2**63:
-        bound = int(top @ top)
-    else:
-        bound = sum(d * d for d in top.tolist())
+    top = np.partition(degrees, degrees.shape[0] - k)[degrees.shape[0] - k:]
+    bound = sum(d * d for d in (top + 1).tolist())
     if bound >= _EXACT_LIMIT:
         raise ParameterError(
             f"a {k}-node design could reach I^2 = {bound} >= 2^53, past exact float64 integers"
@@ -258,11 +254,9 @@ class RevealedView:
         """
         g = self.graph
         if isinstance(g, Graph):
-            a = g.matrix
             for length in range(0, g.n - 1, 2):
                 self.reveal_to(length + 2)
-                rows = a[length:length + 2, :length]
-                e = float(a[length, length]) - float(a[length, length + 1])
+                _, rows, e = self.pair_neighbours(length)
                 cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
                 block = rows[:, cols].astype(np.float64)
                 yield cols, block, block[1] - block[0], e
@@ -286,7 +280,7 @@ class RevealedView:
             (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
             for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
         del ptr, cols, vals
-        # Each pair's bounds in the three offset tables, walked in order: faster than indexing by m.
+        # Each pair's bounds in the three tables, read in order rather than indexed by m.
         bounds = zip(o0, islice(o0, 1, None), o1, islice(o1, 1, None), o2, islice(o2, 1, None))
         for length, e_m, (a0, b0, a1, b1, a2, b2) in zip(count(0, 2), e.astype(np.int64).tolist(), bounds):
             if length + 2 > self._revealed:
@@ -315,9 +309,7 @@ class RevealedView:
             inside = cols < k
             rows, cols = rows[inside], cols[inside]
             if v.ndim == 2:
-                # One contiguous copy, so each column is gathered from contiguous memory.
-                columns = np.ascontiguousarray(v.T)
-                return np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in columns], axis=1)
+                return np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in v.T], axis=1)
             out = v + np.bincount(rows, weights=v[cols], minlength=k)
             return out.astype(np.int64) if exact else out
         if exact:

@@ -20,8 +20,6 @@ from .graph import (
     gen_goe,
     gen_sbm,
     induced_subgraph_sample,
-    scale_weights,
-    write_edge_list,
 )
 from .design import (
     ADAPTIVE,
@@ -33,7 +31,7 @@ from .design import (
     run_design_final,
     run_design_many,
 )
-from .outcome import OutcomeParams, TrialOutcome, analytic_variance, simulate_outcomes, unbiasedness_check
+from .outcome import OutcomeParams, TrialOutcome, analytic_variance, simulate_outcomes
 from .montecarlo import (
     ExperimentResult,
     ExperimentSpec,

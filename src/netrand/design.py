@@ -80,16 +80,14 @@ class DesignState:
 
 
 class PairIncrement(NamedTuple):
-    """Quantities read from the two newly revealed rows over the current prefix.
+    """Quantities read from the two newly revealed rows of a dense graph over the prefix.
 
-    ``cols`` are the prefix columns N read (:meth:`RevealedView.pair_neighbours`);
-    both rows are zero elsewhere.  ``y`` is the new-column difference over N,
-    ``z1``/``z2`` the inner products of the two new row prefixes with the
-    sign prefix, and ``e`` the self-weight minus the entry joining the two new
-    subjects.
+    ``y`` is the new-column difference over the whole prefix
+    (:meth:`RevealedView.pair_neighbours`), ``z1``/``z2`` the inner products
+    of the two new row prefixes with the sign prefix, and ``e`` the
+    self-weight minus the entry joining the two new subjects.
     """
 
-    cols: slice | np.ndarray
     y: np.ndarray
     z1: float
     z2: float
@@ -97,11 +95,11 @@ class PairIncrement(NamedTuple):
 
 
 def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
-    """Build the increment for the next pair from the revealed prefix."""
-    cols, vals, e = view.pair_neighbours(2 * state.pairs)
-    block = vals.astype(np.float64)
-    z1, z2 = (block @ state.tau[cols]).tolist()
-    return PairIncrement(cols, block[1] - block[0], z1, z2, e)
+    """Build the increment for the next pair from the revealed prefix of a dense graph."""
+    rows, e = view.pair_neighbours(2 * state.pairs)
+    block = rows.astype(np.float64)
+    z1, z2 = (block @ state.tau).tolist()
+    return PairIncrement(block[1] - block[0], z1, z2, e)
 
 
 def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float, float]:
@@ -111,13 +109,12 @@ def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float,
     Equals a full recomputation of the squared imbalance over the extended
     prefix, integer-exactly for binary graphs.
     """
-    s_n = state.s[inc.cols]
-    if inc.y.shape != s_n.shape:
+    s = state.s
+    if inc.y.shape != s.shape:
         raise ContractError(
-            f"increment of length {inc.y.shape[0]} does not match its {s_n.shape[0]} "
-            f"columns of prefix {2 * state.pairs}"
+            f"increment of length {inc.y.shape[0]} does not match prefix {2 * state.pairs}"
         )
-    sy = float(s_n @ inc.y)
+    sy = float(s @ inc.y)
     base = state.i2 + float(inc.y @ inc.y)
     e = inc.e
     i2_01 = base - 2.0 * sy + (inc.z1 + e) ** 2 + (inc.z2 - e) ** 2
@@ -142,11 +139,9 @@ def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, u: float) ->
     sign = (i2_01 > i2_10) - (i2_01 < i2_10)
     sigma = 1.0 if u < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
     length = 2 * state.pairs
-    # s[N] -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
-    s_n = state.s_buf[inc.cols]
-    (np.subtract if sigma > 0 else np.add)(s_n, inc.y, out=s_n)
-    if not isinstance(inc.cols, slice):
-        state.s_buf[inc.cols] = s_n  # index-array columns gather a copy
+    # s -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
+    s = state.s
+    (np.subtract if sigma > 0 else np.add)(s, inc.y, out=s)
     state.s_buf[length] = inc.z1 + inc.e * sigma
     state.s_buf[length + 1] = inc.z2 - inc.e * sigma
     state.tau_buf[length] = sigma

@@ -45,13 +45,10 @@ class Graph:
 
     The dtype is the kind.  Binary graphs are uint8 with entries in {0, 1}
     and unit diagonal.  Weighted graphs are float64 with real off-diagonal
-    weights and a constant diagonal (1.0 as generated; scaled copies carry
-    the scaled self-weight).  ``labels`` optionally keeps the original node
-    identifiers of ingested data.
+    weights and a constant diagonal (1.0 as generated).
     """
 
     matrix: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -74,8 +71,6 @@ class Graph:
             )
         if not _is_symmetric(m):
             raise ParameterError("adjacency must be symmetric")
-        if self.labels is not None and len(self.labels) != m.shape[0]:
-            raise ParameterError("labels length must match node count")
         m.setflags(write=False)
 
     @property
@@ -176,8 +171,8 @@ class CsrGraph:
         return a
 
     def to_dense(self) -> Graph:
-        """The validated dense ``Graph`` of the same nodes, in the same order."""
-        return Graph(self.matrix, labels=self.labels)
+        """The validated dense ``Graph`` of the same nodes, in the same order, without labels."""
+        return Graph(self.matrix)
 
 
 def check_exact_bound(degrees: np.ndarray, k: int) -> None:
@@ -201,8 +196,9 @@ class RevealedView:
 
     The sequential design only observes connections among subjects that have
     already arrived; any read outside the revealed prefix raises ContractError.
-    ``pair_neighbours``, ``pair_blocks`` and ``matvec`` serve a dense ``Graph`` and a
-    ``CsrGraph`` alike; ``pair_sides`` reads a ``CsrGraph``'s pairs for Python integer loops.
+    Each pair read serves one loop: ``pair_neighbours`` a dense ``Graph``'s numpy
+    loop, ``pair_sides`` a ``CsrGraph``'s Python integer loop, and ``pair_blocks``
+    the batched kernel on either storage.  ``matvec`` serves both storages.
     """
 
     def __init__(self, graph: Graph | CsrGraph, revealed: int = 0):
@@ -210,53 +206,43 @@ class RevealedView:
             raise ParameterError("revealed prefix out of range")
         self.graph = graph
         self._revealed = revealed
-        # A CsrGraph's pair-major neighbour lists, built on the first pair read.
-        self._pairs = None
 
     def reveal_to(self, k: int) -> None:
         if k < self._revealed or k > self.graph.n:
             raise ContractError(f"cannot reveal prefix {k} (currently {self._revealed})")
         self._revealed = k
 
-    def pair_neighbours(self, length: int):
-        """The newest pair's prefix columns N, its 2 x |N| entries there, and e.
+    def pair_neighbours(self, length: int) -> tuple[np.ndarray, float]:
+        """A dense ``Graph``'s newest pair: its two rows over the prefix [0, length), and e.
 
-        The pair is subjects (length, length + 1), with ``length`` even.  Every
-        column of [0, length) outside N is zero in both of the pair's rows.
-        ``e`` is the self-weight minus the entry joining the two, as a float.
-        A dense ``Graph`` gives N = slice(0, length) and the two rows over it;
-        a ``CsrGraph`` gives the sorted union of the pair's neighbours in
-        [0, length) and its 0/1 entries there.
+        The pair is subjects (length, length + 1), with ``length`` even.  ``e``
+        is the self-weight minus the entry joining the two, as a float.  A
+        ``CsrGraph``'s pairs are read by ``pair_sides`` or ``pair_blocks``.
         """
+        g = self.graph
+        if not isinstance(g, Graph):
+            raise ContractError("pair_neighbours reads a dense Graph; read neighbour lists by pair_sides")
         if length < 0 or length % 2 or length + 2 > self._revealed:
             raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
-        g = self.graph
-        if isinstance(g, Graph):
-            rows = g.matrix[length:length + 2, :length + 2]
-            e = float(rows[0, length]) - float(rows[0, length + 1])
-            return slice(0, length), rows[:, :length], e
-        if self._pairs is None:
-            self._pairs = _pair_lists(g)
-        ptr, cols, vals, e = self._pairs
-        m = length // 2
-        lo, hi = ptr[m], ptr[m + 1]
-        return cols[lo:hi], vals[:, lo:hi], float(e[m])
+        rows = g.matrix[length:length + 2, :length + 2]
+        return rows[:, :length], float(rows[0, length]) - float(rows[0, length + 1])
 
     def pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
         """Every pair's prefix read in order, one per ``next``: ``(cols, block, y, e)``.
 
         Pair m is revealed first, by ``reveal_to(2m + 2)``, so the view must not be
-        revealed past the first pair when the walk starts.  ``cols`` and ``e`` are
-        ``pair_neighbours(2m)``'s, ``block`` its entries as float64 and
-        ``y = block[1] - block[0]``.  On a dense ``Graph`` only the columns where
-        either row is nonzero are kept; on a ``CsrGraph`` the tuples are slices of
+        revealed past the first pair when the walk starts.  ``cols`` are the prefix
+        columns where either of the pair's rows is nonzero, ``block`` the two rows'
+        float64 entries there, ``y = block[1] - block[0]`` and ``e`` the
+        self-weight minus the entry joining the two.  A dense ``Graph``'s pairs
+        come from ``pair_neighbours``; on a ``CsrGraph`` the tuples are slices of
         float64 tables built once per call.
         """
         g = self.graph
         if isinstance(g, Graph):
             for length in range(0, g.n - 1, 2):
                 self.reveal_to(length + 2)
-                _, rows, e = self.pair_neighbours(length)
+                rows, e = self.pair_neighbours(length)
                 cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
                 block = rows[:, cols].astype(np.float64)
                 yield cols, block, block[1] - block[0], e
@@ -270,10 +256,11 @@ class RevealedView:
             yield cols[lo:hi], blocks[:, lo:hi], ys[lo:hi], e_m
 
     def pair_sides(self) -> Iterator[tuple[array, array, array, int]]:
-        """``pair_neighbours`` of a ``CsrGraph``'s pairs in order, one per ``next``, split by row.
+        """A ``CsrGraph``'s pairs in order, one per ``next``, their prefix neighbours split by row.
 
-        Pair m yields its columns joined only to 2m, only to 2m + 1 and to both,
-        as slices of flat int64 ``array``s built in one pass, and e as an int.
+        Pair m yields its columns in [0, 2m) joined only to 2m, only to 2m + 1 and
+        to both, as slices of flat int64 ``array``s built in one pass, and e (the
+        unit self-weight minus the entry joining the two) as an int.
         """
         ptr, cols, vals, e = _pair_lists(self.graph)
         (o0, c0), (o1, c1), (o2, c2) = (
@@ -441,20 +428,11 @@ def gen_er(params: ErParams, seed) -> Graph:
     return Graph(_symmetric(n, np.uint8, lambda k: rng.random(k) < p, 1))
 
 
-def gen_sbm(params: SbmParams, seed, labels=None) -> Graph:
-    """Two-group stochastic block model with iid Bernoulli(1/2) group labels.
-
-    ``labels`` forces the group assignment (0/1 per node) for tests; when
-    given, no label randomness is consumed.
-    """
+def gen_sbm(params: SbmParams, seed) -> Graph:
+    """Two-group stochastic block model with iid Bernoulli(1/2) group labels, drawn first."""
     n = params.n
     rng = np.random.default_rng(seed)
-    if labels is None:
-        labels = (rng.random(n) < 0.5).astype(np.int8)
-    else:
-        labels = np.asarray(labels, dtype=np.int8)
-        if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
-            raise ParameterError("labels must be n values in {0, 1}")
+    labels = (rng.random(n) < 0.5).astype(np.int8)
     # rates[g, j]: the edge rate between a node of group g and node j.
     rates = np.where(labels == np.array([[0], [1]]), params.p_in, params.p_out)
     return Graph(_symmetric(n, np.uint8, rng.random, 1,
@@ -467,15 +445,6 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     sigma = float(np.sqrt(params.sigma2))
     rng = np.random.default_rng(seed)
     return Graph(_symmetric(n, np.float64, lambda k: rng.normal(0.0, sigma, k), 1.0))
-
-
-def scale_weights(g: Graph, c: float) -> Graph:
-    """Scale every entry of a weighted graph (including the self-weight) by c > 0."""
-    if not g.weighted:
-        raise UnsupportedKindError("only weighted graphs can be scaled")
-    if not c > 0.0:
-        raise ParameterError("scale factor must be positive")
-    return Graph(g.matrix * float(c), labels=g.labels)
 
 
 def _decoded_lines(data: bytes) -> Iterator[str]:
@@ -649,19 +618,6 @@ def _from_keys(keys: np.ndarray, n: int, labels) -> CsrGraph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return CsrGraph(indptr, indices, labels=labels)
-
-
-def write_edge_list(g: Graph, path, header: str | None = None) -> None:
-    """Write a binary graph to ``path`` as one 'u v' line per off-diagonal edge."""
-    if g.weighted:
-        raise UnsupportedKindError("edge-list output supports binary graphs only")
-    labels = g.labels or tuple(str(i) for i in range(g.n))
-    rows, cols = np.nonzero(np.triu(g.matrix, 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{labels[i]} {labels[j]}\n")
 
 
 def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:

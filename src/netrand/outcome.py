@@ -43,7 +43,7 @@ class TrialOutcome:
     w: float
 
 
-def _check_sign_vector(g: Graph, tau) -> np.ndarray:
+def _check_sign_vector(g: Graph | CsrGraph, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (g.n,):
         raise ContractError(f"sign vector length {tau.shape} does not match n={g.n}")
@@ -68,7 +68,7 @@ def simulate_outcomes(g: Graph | CsrGraph, tau, params: OutcomeParams, rng) -> T
     return TrialOutcome(x=x, w=w)
 
 
-def analytic_variance(g: Graph, tau, params: OutcomeParams) -> float:
+def analytic_variance(g: Graph | CsrGraph, tau, params: OutcomeParams) -> float:
     """Closed-form variance of the estimate for a fixed graph and assignment."""
     tau = _check_sign_vector(g, tau)
     n = g.n
@@ -76,17 +76,3 @@ def analytic_variance(g: Graph, tau, params: OutcomeParams) -> float:
         raise ParameterError("analytic variance is defined for even n")
     i2 = float(imbalance_recompute(g, tau, n))
     return 4.0 / n**2 * i2 * params.sigma_z**2 + 4.0 / n * params.sigma_eps**2
-
-
-def unbiasedness_check(
-    g: Graph, tau, params: OutcomeParams, reps: int, *, rng=None, seed=None
-) -> tuple[float, float]:
-    """Sample mean and standard error of the estimate over independent draws."""
-    if reps < 2:
-        raise ParameterError("need at least 2 replicates for a standard error")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    ws = np.empty(reps, dtype=np.float64)
-    for r in range(reps):
-        ws[r] = simulate_outcomes(g, tau, params, rng).w
-    return float(ws.mean()), float(ws.std(ddof=1) / math.sqrt(reps))

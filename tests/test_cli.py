@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netrand import ErParams, gen_er, write_edge_list, summarize
+from netrand import ErParams, gen_er, summarize
 from netrand.montecarlo import ResultRow
 import netrand
 from netrand import cli, graph, montecarlo
 from netrand.cli import main
+
+from helpers import write_edge_list
 
 
 def read_csv(path):
@@ -123,6 +125,12 @@ GOLDEN = {
     "oracle-sparse": (
         ["oracle", "--n", "16", "--p", "0.1", "--seed", "2", "--mc-reps", "20000"],
         {"stdout": "af79ed9af0360424d9674aedc45f30e8fc3d00613f66f55e1732e4d4d90452b4"},
+    ),
+    # b = 1/2: the batched kernel's fair-coin arm on a dense graph, whose replicates' I^2
+    # come from one recompute through the 2-D float mat-vec
+    "oracle-fair": (
+        ["oracle", "--n", "16", "--p", "0.3", "--b", "0.5", "--mc-reps", "20000"],
+        {"stdout": "3797bdc1e7ee1c5d32f6801dc1778f05dc7834bb929b305479800cf16c691ee5"},
     ),
 }
 

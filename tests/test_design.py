@@ -27,9 +27,10 @@ from netrand import (
     reduction_report,
     run_design,
     run_design_many,
-    scale_weights,
 )
 from netrand.design import DesignState, candidate_imbalances, increment_from_view, step
+
+from helpers import complete_graph, identity_graph
 
 
 class Replay:
@@ -91,14 +92,6 @@ def batched_and_scalar(g, cfg, reps, rec):
         scalar.append(run_design(g, cfg, rng=replay).final_i2)
         assert replay.used == len(replay.seq)
     return finals, scalar
-
-
-def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8))
-
-
-def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8))
 
 
 def pair_graph(a12):
@@ -190,11 +183,11 @@ class TestCandidates:
             assert int(i2_10) == imbalance_recompute(g, tau10, 4)
 
     def test_dimension_mismatch_rejected(self):
-        # y must have one entry per column read: the whole prefix, or the listed neighbours
+        # y must have one entry per prefix column
         g = gen_er(ErParams(8, 0.5), seed=0)
         st_ = first_step(g, Replay([0.1]))
-        for cols, width in ((slice(0, 4), 4), (slice(0, 2), 3), (np.array([0, 1]), 1)):
-            bad = design.PairIncrement(cols=cols, y=np.zeros(width), z1=0.0, z2=0.0, e=1.0)
+        for width in (4, 3, 1):
+            bad = design.PairIncrement(y=np.zeros(width), z1=0.0, z2=0.0, e=1.0)
             with pytest.raises(ContractError):
                 candidate_imbalances(st_, bad)
 
@@ -361,7 +354,7 @@ class TestRecompute:
         g = gen_goe(GoeParams(10, 0.5), seed=2)
         tau = np.resize([1.0, -1.0], 10)
         base = imbalance_recompute(g, tau, 10)
-        scaled = imbalance_recompute(scale_weights(g, 3.0), tau, 10)
+        scaled = imbalance_recompute(Graph(g.matrix * 3.0), tau, 10)
         assert scaled == pytest.approx(9.0 * base)
 
     def test_length_mismatch_rejected(self):
@@ -390,21 +383,19 @@ def test_incremental_exactness_property(pairs, p, policy, seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 50_000))
 def test_maintained_s_matches_dense_recompute(pairs, seed):
-    # the maintained signed row-sum prefix equals A^(2m) tau entrywise, on a dense view
-    # (slice columns) and on a neighbour-list view (index-array columns)
+    # the maintained signed row-sum prefix equals A^(2m) tau entrywise
     g = gen_er(ErParams(2 * pairs, 0.4), seed=seed)
     cfg = DesignConfig(ADAPTIVE, b=0.9)
-    for storage in (g, csr_from_edges(g.n, *upper_edges(g))):
-        rng = np.random.default_rng(seed)
-        view = RevealedView(storage)
-        st_ = empty_state(g.n)
-        for m in range(pairs):
-            view.reveal_to(2 * m + 2)
-            step(st_, increment_from_view(view, st_), cfg, rng.random())
-            k = 2 * st_.pairs
-            dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
-            assert np.array_equal(st_.s, dense)
-            assert st_.i2 == float(dense @ dense)
+    rng = np.random.default_rng(seed)
+    view = RevealedView(g)
+    st_ = empty_state(g.n)
+    for m in range(pairs):
+        view.reveal_to(2 * m + 2)
+        step(st_, increment_from_view(view, st_), cfg, rng.random())
+        k = 2 * st_.pairs
+        dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
+        assert np.array_equal(st_.s, dense)
+        assert st_.i2 == float(dense @ dense)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +417,7 @@ class TestScaleInvariance:
         g = gen_goe(GoeParams(60, 0.25), seed=5)
         cfg = DesignConfig(ADAPTIVE, b=0.9, seed=123)
         base = run_design(g, cfg)
-        scaled = run_design(scale_weights(g, 7.0), cfg)
+        scaled = run_design(Graph(g.matrix * 7.0), cfg)
         assert np.array_equal(base.tau, scaled.tau)
         ratio = np.sqrt(scaled.i2_trajectory) / np.sqrt(base.i2_trajectory)
         assert np.abs(ratio - 7.0).max() < 7.0 * 1e-12
@@ -613,18 +604,29 @@ def test_stream_advances_by_the_randomness_budget_on_both_storages(n):
 
 def test_pair_read_outside_prefix_rejected_on_both_storages():
     g = csr_from_edges(9, np.array([0, 1, 2, 5, 8]), np.array([3, 4, 7, 6, 0]))
-    for h in (g, g.to_dense()):
-        view = RevealedView(h, revealed=6)
-        for length in (0, 2, 4):
-            view.pair_neighbours(length)
-        for length in (-2, 1, 6, 8):
-            with pytest.raises(ContractError):
-                view.pair_neighbours(length)
-        st_ = empty_state(h.n)
-        for m in range(3):
-            step(st_, increment_from_view(view, st_), DesignConfig(seed=0), 0.4)
+    dense = g.to_dense()
+    view = RevealedView(dense, revealed=6)
+    for length in (0, 2, 4):
+        view.pair_neighbours(length)
+    for length in (-2, 1, 6, 8):
         with pytest.raises(ContractError):
-            increment_from_view(view, st_)
+            view.pair_neighbours(length)
+    st_ = empty_state(dense.n)
+    for m in range(3):
+        step(st_, increment_from_view(view, st_), DesignConfig(seed=0), 0.4)
+    with pytest.raises(ContractError):
+        increment_from_view(view, st_)
+    # the scalar numpy step reads dense rows only: neighbour lists go through pair_sides
+    for length in (0, 2, 4):
+        with pytest.raises(ContractError):
+            RevealedView(g, revealed=6).pair_neighbours(length)
+    with pytest.raises(ContractError):
+        increment_from_view(RevealedView(g, revealed=6), empty_state(g.n))
+    # pair_blocks reveals pair m itself, so it cannot start past the first pair
+    for h in (g, dense):
+        for revealed in (4, 6):
+            with pytest.raises(ContractError):
+                next(RevealedView(h, revealed=revealed).pair_blocks())
     sides = RevealedView(g, revealed=6).pair_sides()
     reads = [next(sides) for _ in range(3)]
     assert [[list(c) for c in read[:3]] for read in reads] == [[[], [], []], [[], [0], []], [[1], [], []]]

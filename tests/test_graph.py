@@ -25,35 +25,27 @@ from netrand import (
     gen_goe,
     gen_sbm,
     induced_subgraph_sample,
-    scale_weights,
-    write_edge_list,
 )
 from netrand import graph
 from netrand.graph import _EXACT_LIMIT, _MAX_DENSE_NODES, _TILE, _mirror_upper, check_exact_bound
 
-
-def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8))
+from helpers import complete_graph, identity_graph, write_edge_list
 
 
-def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8))
-
-
-def csr_of(g):
-    """The neighbour lists of a binary ``Graph``: its off-diagonal nonzeros, row by row."""
+def csr_of(g, labels=None):
+    """The neighbour lists of a binary ``Graph``, its off-diagonal nonzeros row by row, labelled."""
     off = g.matrix.astype(bool)
     np.fill_diagonal(off, False)
     rows, cols = np.nonzero(off)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    return CsrGraph(indptr, cols.astype(np.int64), labels=g.labels)
+    return CsrGraph(indptr, cols.astype(np.int64), labels=labels)
 
 
-def sample_reference(g, k, seed):
-    """The induced sample's matrix and labels, fancy-indexed from a labelled dense ``Graph``."""
+def sample_reference(g, labels, k, seed):
+    """The induced sample's matrix and labels, fancy-indexed from a dense ``Graph`` and its labels."""
     idx = np.random.default_rng(seed).permutation(g.n)[:k]
-    return g.matrix[np.ix_(idx, idx)], tuple(g.labels[i] for i in idx.tolist())
+    return g.matrix[np.ix_(idx, idx)], tuple(labels[i] for i in idx.tolist())
 
 
 def assert_valid_binary(g):
@@ -101,12 +93,11 @@ class TestGenSbm:
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) < 3 * se
 
-    def test_forced_labels_degenerate_rates(self):
-        g = gen_sbm(SbmParams(4, 1.0, 0.0), seed=0, labels=[0, 0, 1, 1])
-        expect = np.zeros((4, 4), dtype=np.uint8)
-        expect[:2, :2] = 1
-        expect[2:, 2:] = 1
-        assert np.array_equal(g.matrix, expect)
+    def test_degenerate_rates_give_the_group_blocks(self):
+        # the group labels are the stream's first n uniforms, below 1/2 for group 1
+        g = gen_sbm(SbmParams(4, 1.0, 0.0), seed=0)
+        labels = np.random.default_rng(0).random(4) < 0.5
+        assert np.array_equal(g.matrix, labels[:, None] == labels[None, :])
 
     def test_within_between_concentration(self):
         n, p_in, p_out = 1000, 0.3, 0.1
@@ -172,19 +163,18 @@ edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.integers(2, 12), st.integers(2, 300)), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       st.tuples(edge_rates, edge_rates).map(sorted), st.booleans(), st.integers(0, 2**32 - 1),
+       st.tuples(edge_rates, edge_rates).map(sorted), st.integers(0, 2**32 - 1),
        st.sampled_from([7, 64, graph._DRAW_BLOCK]))
-def test_generators_match_per_row_draws(n, p, sbm_rates, forced, seed, budget):
+def test_generators_match_per_row_draws(n, p, sbm_rates, seed, budget):
     """Block draws give the bytes of one ``random``/``normal`` call per row, in row order.
 
     A budget of 7 or 64 draws makes rows cross block boundaries and rows longer than
     a block; with the default, every n here is one block.
     """
     p_out, p_in = sbm_rates
-    labels = np.random.default_rng(seed + 1).integers(0, 2, n) if forced else None
     with mock.patch.object(graph, "_DRAW_BLOCK", budget):
         er = gen_er(ErParams(n, p), seed)
-        sbm = gen_sbm(SbmParams(n, p_in, p_out), seed, labels=labels)
+        sbm = gen_sbm(SbmParams(n, p_in, p_out), seed)
         goe = gen_goe(GoeParams(n, p), seed)
 
     rng = np.random.default_rng(seed)
@@ -192,7 +182,7 @@ def test_generators_match_per_row_draws(n, p, sbm_rates, forced, seed, budget):
     assert er.matrix.tobytes() == expect.tobytes()
 
     rng = np.random.default_rng(seed)
-    groups = (rng.random(n) < 0.5).astype(np.int8) if labels is None else labels
+    groups = (rng.random(n) < 0.5).astype(np.int8)
     expect = per_row_reference(
         n, np.uint8, lambda i: rng.random(n - i - 1) < np.where(groups[i + 1:] == groups[i], p_in, p_out), 1)
     assert sbm.matrix.tobytes() == expect.tobytes()
@@ -209,8 +199,9 @@ class TestEdgeList:
         assert g.matrix[0, 1] == 1 and g.matrix[1, 0] == 1
 
     def test_first_appearance_remapping(self):
-        g = from_edge_list(["5 9", "9 7"]).to_dense()
-        assert g.labels == ("5", "9", "7")
+        csr = from_edge_list(["5 9", "9 7"])
+        g = csr.to_dense()
+        assert csr.labels == ("5", "9", "7")
         assert g.matrix[0, 1] == 1 and g.matrix[1, 2] == 1 and g.matrix[0, 2] == 0
 
     def test_self_loops_ignored_diagonal_forced(self):
@@ -255,11 +246,11 @@ class TestEdgeList:
         g = gen_er(ErParams(40, 0.3), seed=1)
         path = tmp_path / "edges.txt"
         write_edge_list(g, path, header="test")
-        back = from_edge_list(path).to_dense()
+        back = from_edge_list(path)
         # relabeling permutes nodes; compare degree multiset and edge count
         assert back.n == g.n
         perm = np.argsort([int(x) for x in back.labels])
-        assert np.array_equal(back.matrix[np.ix_(perm, perm)], g.matrix)
+        assert np.array_equal(back.to_dense().matrix[np.ix_(perm, perm)], g.matrix)
 
 
 def path_lines(n):
@@ -274,7 +265,6 @@ class TestCsrGraph:
         g = CsrGraph(np.array(self.PATH[0]), np.array(self.PATH[1]), labels=("a", "b", "c"))
         assert g.n == 3 and not g.weighted
         assert np.array_equal(g.to_dense().matrix, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-        assert g.to_dense().labels == ("a", "b", "c")
 
     @pytest.mark.parametrize("indptr, indices, match", [
         pytest.param([0, 1, 1, 1], [1], "symmetric", id="asymmetric-pair"),
@@ -355,7 +345,10 @@ class TestCsrGraph:
 
 
 def dense_fill_reference(lines):
-    """Dense ingestion as one n x n fill from a list of index tuples, the original algorithm."""
+    """Dense ingestion as one n x n fill from a list of index tuples, the original algorithm.
+
+    Returns the dense ``Graph`` and its labels, or None for no data lines.
+    """
     index: dict[str, int] = {}
     edges = []
     for raw in lines:
@@ -374,7 +367,7 @@ def dense_fill_reference(lines):
     for u, v in edges:
         a[u, v] = a[v, u] = 1
     np.fill_diagonal(a, 1)
-    return Graph(a, labels=tuple(index))
+    return Graph(a), tuple(index)
 
 
 # Tokens hold no whitespace; one may start with '#', which makes its line a comment when first.
@@ -410,20 +403,20 @@ class TestEdgeListAgainstDenseFill:
             return
         got = from_edge_list(lines)
         assert isinstance(got, CsrGraph)
-        dense = got.to_dense()
-        assert dense.labels == want.labels
-        assert dense.matrix.tobytes() == want.matrix.tobytes()
+        want, labels = want
+        assert got.labels == labels
+        assert got.to_dense().matrix.tobytes() == want.matrix.tobytes()
 
     @given(lines=edge_list_lines(), data=st.data(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_csr_sample_equals_dense_sample(self, lines, data, seed):
         want = dense_fill_reference(lines)
-        assume(want is not None and want.n >= 2)
-        csr = from_edge_list(lines)
+        assume(want is not None and want[0].n >= 2)
+        csr, (want, want_labels) = from_edge_list(lines), want
         sizes = {2, want.n, data.draw(st.integers(2, want.n))}
         for k in sorted(sizes):
             got = induced_subgraph_sample(csr, k, seed)
-            ref, labels = sample_reference(want, k, seed)
+            ref, labels = sample_reference(want, want_labels, k, seed)
             assert got.matrix.dtype == ref.dtype == np.uint8
             assert got.matrix.tobytes() == ref.tobytes()
             assert got.labels == labels
@@ -431,10 +424,10 @@ class TestEdgeListAgainstDenseFill:
     @pytest.mark.parametrize("n", [3, 5, 37])
     def test_odd_node_counts(self, n):
         lines = path_lines(n) + [f"0 {n - 1}", f"{n - 1} 0", "2 2"]
-        csr, dense = from_edge_list(lines), dense_fill_reference(lines)
+        csr, (dense, dense_labels) = from_edge_list(lines), dense_fill_reference(lines)
         assert csr.to_dense().matrix.tobytes() == dense.matrix.tobytes()
         for k in (2, n - 1, n):
-            got, (ref, labels) = induced_subgraph_sample(csr, k, 8), sample_reference(dense, k, 8)
+            got, (ref, labels) = induced_subgraph_sample(csr, k, 8), sample_reference(dense, dense_labels, k, 8)
             assert got.matrix.tobytes() == ref.tobytes() and got.labels == labels
 
 
@@ -654,9 +647,9 @@ class TestInducedSample:
     ])
     def test_row_blocks_match_fancy_index_reference(self, k):
         n, seed = 1500, 12
-        g = Graph(gen_er(ErParams(n, 0.1), seed=2).matrix, labels=tuple(f"v{i}" for i in range(n)))
-        s = induced_subgraph_sample(csr_of(g), k, seed=seed)
-        ref, labels = sample_reference(g, k, seed)
+        g, names = gen_er(ErParams(n, 0.1), seed=2), tuple(f"v{i}" for i in range(n))
+        s = induced_subgraph_sample(csr_of(g, names), k, seed=seed)
+        ref, labels = sample_reference(g, names, k, seed)
         assert s.matrix.dtype == np.uint8
         assert np.array_equal(s.matrix, ref)
         assert s.labels == labels
@@ -698,14 +691,15 @@ class TestRevealedView:
         g = gen_er(ErParams(10, 0.5), seed=0)
         for view in (RevealedView(g), RevealedView(csr_of(g))):
             view.reveal_to(4)
-            cols, vals, e = view.pair_neighbours(2)
-            assert np.array_equal(vals, g.matrix[2:4, :2][:, cols])
-            assert type(e) is float and e == 1.0 - g.matrix[2, 3]
-            for length in (3, 4, -1, -2):
-                with pytest.raises(ContractError):
-                    view.pair_neighbours(length)
             with pytest.raises(ContractError):
                 view.matvec(np.ones(5))
+        view = RevealedView(g, revealed=4)
+        rows, e = view.pair_neighbours(2)
+        assert np.array_equal(rows, g.matrix[2:4, :2])
+        assert type(e) is float and e == 1.0 - g.matrix[2, 3]
+        for length in (3, 4, -1, -2):
+            with pytest.raises(ContractError):
+                view.pair_neighbours(length)
 
     def test_matvec_is_prefix_product(self):
         g = gen_goe(GoeParams(9, 0.5), seed=3)
@@ -723,29 +717,15 @@ class TestRevealedView:
         ids=["binary", "weighted"],
     )
     def test_pair_neighbours_are_nonzero_pair_row_columns(self, g):
-        # dense storage reads every prefix column; neighbour lists exactly the nonzero ones
-        views = [(RevealedView(g, revealed=g.n), False)]
-        if not g.weighted:
-            views.append((RevealedView(csr_of(g), revealed=g.n), True))
-        for view, exact in views:
-            for length in range(0, g.n - 1, 2):
-                cols, vals, e = view.pair_neighbours(length)
-                rows = g.matrix[length:length + 2, :length]
-                want = np.flatnonzero((rows != 0).any(axis=0))
-                assert vals.dtype == g.matrix.dtype and np.array_equal(vals, rows[:, cols])
-                assert np.isin(want, np.arange(length)[cols]).all()
-                if exact:
-                    assert cols.dtype.kind == "i" and np.array_equal(cols, want)
-                # the self-weight minus the entry joining the pair
-                assert type(e) is float
-                assert e == float(g.matrix[length, length]) - float(g.matrix[length, length + 1])
-
-    def test_pair_neighbours_empty_without_links(self):
-        for n in (8, 9):
-            view = RevealedView(csr_of(identity_graph(n)), revealed=n)
-            for length in range(0, n - 1, 2):
-                cols, vals, e = view.pair_neighbours(length)
-                assert cols.shape == (0,) and vals.shape == (2, 0) and e == 1.0
+        # dense storage reads every prefix column, so every nonzero one of the pair's rows
+        view = RevealedView(g, revealed=g.n)
+        for length in range(0, g.n - 1, 2):
+            vals, e = view.pair_neighbours(length)
+            assert vals.dtype == g.matrix.dtype
+            assert np.array_equal(vals, g.matrix[length:length + 2, :length])
+            # the self-weight minus the entry joining the pair
+            assert type(e) is float
+            assert e == float(g.matrix[length, length]) - float(g.matrix[length, length + 1])
 
     @pytest.mark.parametrize(
         "g",
@@ -759,28 +739,22 @@ class TestRevealedView:
         ids=["binary", "sparse", "weighted", "isolated"],
     )
     def test_pair_blocks_are_pair_neighbours_without_zero_columns(self, g):
+        reference = RevealedView(g, revealed=g.n)
         stores = [g] if g.weighted else [g, csr_of(g)]
         for h in stores:
-            view, reference = RevealedView(h), RevealedView(h, revealed=h.n)
-            reads = 0
+            view, reads = RevealedView(h), 0
             for m, (cols, block, y, e) in enumerate(view.pair_blocks()):
                 assert view._revealed == 2 * m + 2
-                want_cols, vals, want_e = reference.pair_neighbours(2 * m)
-                if isinstance(h, Graph):
-                    # the dense prefix rows, with the columns zero in both dropped
-                    want_cols = np.flatnonzero((vals != 0).any(axis=0))
-                    vals = vals[:, want_cols]
+                # the dense prefix rows, with the columns zero in both dropped
+                vals, want_e = reference.pair_neighbours(2 * m)
+                want_cols = np.flatnonzero((vals != 0).any(axis=0))
                 assert cols.dtype.kind == "i" and np.array_equal(cols, want_cols)
                 assert block.dtype == y.dtype == np.float64
-                assert np.array_equal(block, vals.astype(np.float64))
+                assert np.array_equal(block, vals[:, want_cols].astype(np.float64))
                 assert np.array_equal(y, block[1] - block[0])
                 assert type(e) is float and e == want_e
                 reads += 1
             assert reads == h.n // 2
-        if not g.weighted:
-            # both storages give the same columns and entries, pair for pair
-            for dense, lists in zip(RevealedView(g).pair_blocks(), RevealedView(csr_of(g)).pair_blocks()):
-                assert all(np.array_equal(a, b) for a, b in zip(dense, lists))
 
     def test_pair_blocks_empty_without_prefix_neighbours(self):
         # pairs 0 and 1 have no earlier neighbours; in pair 2 only subject 4 is joined to subject 0
@@ -794,13 +768,16 @@ class TestRevealedView:
 
     def test_pair_neighbours_prefix_enforced(self):
         g = complete_graph(10)
-        for view in (RevealedView(g, revealed=4), RevealedView(csr_of(g), revealed=4)):
-            cols, vals, e = view.pair_neighbours(2)
-            assert np.array_equal(np.arange(2)[cols], [0, 1])
-            assert np.array_equal(vals, g.matrix[2:4, :2]) and e == 0.0
-            for length in (3, 4, 8, -1):
-                with pytest.raises(ContractError):
-                    view.pair_neighbours(length)
+        view = RevealedView(g, revealed=4)
+        vals, e = view.pair_neighbours(2)
+        assert np.array_equal(vals, g.matrix[2:4, :2]) and e == 0.0
+        for length in (3, 4, 8, -1):
+            with pytest.raises(ContractError):
+                view.pair_neighbours(length)
+        # neighbour lists are read by pair_sides and pair_blocks, never by pair_neighbours
+        for length in (2, 3, 4, 8, -1):
+            with pytest.raises(ContractError):
+                RevealedView(csr_of(g), revealed=4).pair_neighbours(length)
 
     def test_cannot_unreveal(self):
         view = RevealedView(gen_er(ErParams(6, 0.5), seed=0), revealed=4)
@@ -831,7 +808,7 @@ class TestGraphType:
         binary = [er, gen_sbm(SbmParams(6, 0.5, 0.1), seed=2),
                   from_edge_list(["a b", "b c"]).to_dense(),
                   induced_subgraph_sample(csr_of(er), 4, seed=3)]
-        weighted = [goe, scale_weights(goe, 2.0)]
+        weighted = [goe, Graph(goe.matrix * 2.0)]
         assert [(g.matrix.dtype, g.weighted) for g in binary] == [(np.uint8, False)] * 4
         assert [(g.matrix.dtype, g.weighted) for g in weighted] == [(np.float64, True)] * 2
 
@@ -873,12 +850,3 @@ class TestGraphType:
         expected = np.triu(a, 1) + np.triu(a, 1).T
         _mirror_upper(a)
         assert np.array_equal(a, expected)
-
-    def test_scale_weights(self):
-        g = gen_goe(GoeParams(6, 0.3), seed=1)
-        s = scale_weights(g, 2.5)
-        assert np.allclose(s.matrix, 2.5 * g.matrix)
-        with pytest.raises(UnsupportedKindError):
-            scale_weights(gen_er(ErParams(4, 0.5), seed=0), 2.0)
-        with pytest.raises(ParameterError):
-            scale_weights(g, 0.0)

@@ -9,7 +9,6 @@ from netrand import (
     RANDOM,
     ErParams,
     ExperimentSpec,
-    Graph,
     OutcomeParams,
     ParameterError,
     adaptive_fourth_moment_bound,
@@ -25,9 +24,7 @@ from netrand import (
 from netrand import graph, montecarlo
 from netrand.montecarlo import replicate_streams
 
-
-def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8))
+from helpers import complete_graph, write_edge_list
 
 
 class TestRandomDesignClosedForm:
@@ -247,8 +244,6 @@ class TestRunExperiment:
         assert a.mean() < r.mean() - 3 * gap_se
 
     def test_real_model_samples_and_records_density(self, tmp_path):
-        from netrand import write_edge_list
-
         parent = gen_er(ErParams(60, 0.2), seed=14)
         path = tmp_path / "parent.txt"
         write_edge_list(parent, path)

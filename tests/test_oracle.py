@@ -10,7 +10,6 @@ from netrand import (
     DesignConfig,
     ErParams,
     GoeParams,
-    Graph,
     ParameterError,
     SizeLimitError,
     brute_force_min,
@@ -21,13 +20,7 @@ from netrand import (
     run_design_many,
 )
 
-
-def complete_graph(n):
-    return Graph(np.ones((n, n), dtype=np.uint8))
-
-
-def identity_graph(n):
-    return Graph(np.eye(n, dtype=np.uint8))
+from helpers import complete_graph, identity_graph
 
 
 def balanced_assignments(n):

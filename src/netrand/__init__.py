@@ -1,12 +1,6 @@
 """Pairwise sequential adaptive randomization for network-correlated experiments."""
 
-from .errors import (
-    ContractError,
-    EdgeListParseError,
-    ParameterError,
-    SizeLimitError,
-    UnsupportedKindError,
-)
+from .errors import ContractError, EdgeListParseError, ParameterError
 from .graph import (
     CsrGraph,
     ErParams,

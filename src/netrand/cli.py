@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EdgeListParseError, ParameterError, SizeLimitError
+from .errors import EdgeListParseError, ParameterError
 from . import graph as graphmod
 from .graph import ErParams
 from .design import ADAPTIVE, RANDOM, DesignConfig, run_design, run_design_many
@@ -89,11 +89,15 @@ def _summary_path(out: str) -> str:
     return out + ".summary.csv"
 
 
-def _check_outputs(*paths) -> None:
-    """Reject output paths that coincide or are directories, or whose directory is missing or unwritable."""
+def _check_outputs(edges, *paths) -> None:
+    """Reject output paths that coincide or name the input list ``edges`` (or None), are
+    directories, or whose directory is missing or unwritable."""
     paths = list(filter(None, paths))
-    if len({Path(path).resolve() for path in paths}) < len(paths):
+    resolved = {Path(path).resolve() for path in paths}
+    if len(resolved) < len(paths):
         raise ParameterError(f"output paths {paths} coincide; one file would overwrite the other")
+    if edges is not None and Path(edges).resolve() in resolved:
+        raise ParameterError(f"an output path names the edge list {edges!r}; writing would overwrite it")
     for path in paths:
         if Path(path).is_dir():
             raise IsADirectoryError(f"output path {path!r} is a directory")
@@ -125,7 +129,7 @@ def _parse_n_values(entries) -> tuple[int, ...]:
 
 def cmd_simulate(args) -> int:
     summary_out = args.summary_out or _summary_path(args.out)
-    _check_outputs(args.out, summary_out)
+    _check_outputs(None, args.out, summary_out)
     policies = {
         "adaptive": (ADAPTIVE,),
         "random": (RANDOM,),
@@ -160,7 +164,7 @@ def cmd_simulate(args) -> int:
 def cmd_real(args) -> int:
     """Fresh induced sample and arrival order per replicate, both policies."""
     summary_out = args.summary_out or _summary_path(args.out)
-    _check_outputs(args.out, summary_out)
+    _check_outputs(args.edges, args.out, summary_out)
     spec = ExperimentSpec(
         model="real",
         n_values=_parse_n_values(args.sample or ["10000"]),
@@ -184,7 +188,7 @@ def cmd_real(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.edges, args.out)
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
     cfg = DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss)
     g = graphmod.from_edge_list(args.edges)
@@ -201,8 +205,7 @@ def cmd_assign(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.n % 2 or args.n < 2 or args.n > 20:
-        raise ParameterError("oracle needs even n with 2 <= n <= 20")
+    oraclemod.check_size(args.n)
     if args.mc_reps < 2:
         raise ParameterError("oracle needs --mc-reps of at least 2 for a standard error")
     g = graphmod.gen_er(ErParams(args.n, args.p), args.seed)
@@ -210,11 +213,11 @@ def cmd_oracle(args) -> int:
     brute = oraclemod.brute_force_min(g)
     print(f"brute_force_min_i2: {brute.min_i2} (argmin_count={brute.argmin_count})")
     exact = None
-    if args.n <= 16:
+    if args.n <= oraclemod.TREE_MAX_N:
         exact = oraclemod.exact_policy_expectation(g, cfg)
         print(f"exact_expected_i2: {exact.expected_i2!r} (ties={exact.has_ties})")
     else:
-        print("exact_expected_i2: skipped (n > 16)")
+        print(f"exact_expected_i2: skipped (n > {oraclemod.TREE_MAX_N})")
     mc_rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(1,)))
     finals = run_design_many(g, cfg, args.mc_reps, rng=mc_rng).astype(np.float64)
     mc_mean = float(finals.mean())
@@ -299,9 +302,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (ParameterError, SizeLimitError, EdgeListParseError, OSError) as exc:
+    except (ParameterError, EdgeListParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ParameterError, SizeLimitError)) else 1
+        return 2 if isinstance(exc, ParameterError) else 1
 
 
 if __name__ == "__main__":

@@ -304,14 +304,14 @@ def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim not in (1, 2):
-        raise ContractError("signs must be a vector or a block of columns")
+        raise ParameterError("signs must be a vector or a block of columns")
     if upto is None:
         upto = tau.shape[0]
     if upto < 1 or upto > g.n or upto > tau.shape[0]:
-        raise ContractError(f"prefix length {upto} invalid for n={g.n}, tau={tau.shape[0]}")
+        raise ParameterError(f"prefix length {upto} invalid for n={g.n}, tau={tau.shape[0]}")
     prefix = tau[:upto]
     if not np.isin(prefix, (-1.0, 1.0)).all():
-        raise ContractError("signs must be +1 or -1")
+        raise ParameterError("signs must be +1 or -1")
     view = RevealedView(g, upto)
     if tau.ndim == 1:
         s = view.matvec(prefix if g.weighted else prefix.astype(np.int8))

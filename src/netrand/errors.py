@@ -1,16 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one meaning each."""
 
 
 class ParameterError(ValueError):
-    """A user-supplied parameter is outside its documented domain."""
-
-
-class UnsupportedKindError(TypeError):
-    """Operation applied to a graph kind it does not support."""
+    """A caller's argument, flag or size is outside its documented domain (the CLI exits 2)."""
 
 
 class EdgeListParseError(ValueError):
-    """Malformed edge-list input; carries the offending line number when known."""
+    """Malformed edge-list input (the CLI exits 1); carries the offending line number when known."""
 
     def __init__(self, message: str, line_number: int | None = None):
         self.line_number = line_number
@@ -20,8 +16,4 @@ class EdgeListParseError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """Internal contract violated (dimension mismatch, out-of-prefix read, ...)."""
-
-
-class SizeLimitError(ValueError):
-    """Instance exceeds the size limit of an exhaustive routine."""
+    """The engine broke its own rule, such as a read outside the revealed prefix: a bug, not a bad input."""

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EdgeListParseError, ContractError, ParameterError, UnsupportedKindError
+from .errors import EdgeListParseError, ContractError, ParameterError
 
 # Nodes of a dense matrix (1 GiB as uint8); checked before one is built.  It also keeps
 # every binary design quantity on a dense graph exact in float64: I^2 <= n^3 < 2^53.
@@ -644,7 +644,7 @@ def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:
 def density(g: Graph | CsrGraph) -> float:
     """Fraction of off-diagonal pairs connected; self-loops excluded."""
     if g.weighted:
-        raise UnsupportedKindError("density is defined for binary graphs")
+        raise ParameterError("density is defined for binary graphs")
     if g.n < 2:
         raise ParameterError("density needs at least 2 nodes")
     if isinstance(g, CsrGraph):

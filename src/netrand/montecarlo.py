@@ -348,8 +348,6 @@ def reduction_report(g: Graph | CsrGraph, b: float, reps: int, seed) -> Reductio
     the random-policy mean is zero the reduction is reported as 0 and
     flagged.
     """
-    if reps < 1:
-        raise ParameterError("reps must be at least 1")
     a_ss, r_ss = np.random.SeedSequence(seed).spawn(2)
     i_adaptive = np.sqrt(
         run_design_many(g, DesignConfig(ADAPTIVE, b=b), reps, rng=np.random.default_rng(a_ss)).astype(np.float64)

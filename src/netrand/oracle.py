@@ -11,12 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
+from .errors import ParameterError
 from .graph import Graph
 from .design import DesignConfig
 
-_BRUTE_MAX_N = 20
-_TREE_MAX_N = 16
+BRUTE_MAX_N = 20
+TREE_MAX_N = 16
+
+
+def check_size(n: int, limit: int = BRUTE_MAX_N) -> None:
+    """Reject n unless it is even and in [2, limit]: the size rule of every routine here."""
+    if n % 2 or not 2 <= n <= limit:
+        raise ParameterError(f"oracle needs even n with 2 <= n <= {limit}, got n={n}")
 
 
 def _balanced_sign_matrix(pairs: int) -> np.ndarray:
@@ -39,12 +45,8 @@ class OracleResult:
 
 def brute_force_min(g: Graph) -> OracleResult:
     """Global minimum squared imbalance over all pairwise-balanced assignments."""
-    n = g.n
-    if n % 2:
-        raise ParameterError("brute force needs even n")
-    if n > _BRUTE_MAX_N:
-        raise SizeLimitError(f"n={n} exceeds the enumeration limit {_BRUTE_MAX_N}")
-    tau = _balanced_sign_matrix(n // 2)
+    check_size(g.n)
+    tau = _balanced_sign_matrix(g.n // 2)
     sv = tau @ g.matrix.astype(np.float64).T
     i2 = (sv * sv).sum(axis=1)
     best = i2.min()
@@ -68,10 +70,7 @@ def exact_policy_expectation(g: Graph, cfg: DesignConfig) -> ExactExpectation:
     the engine's incremental update.
     """
     n = g.n
-    if n % 2:
-        raise ParameterError("exact expectation needs even n")
-    if n > _TREE_MAX_N:
-        raise SizeLimitError(f"n={n} exceeds the tree limit {_TREE_MAX_N}")
+    check_size(n, TREE_MAX_N)
     b = cfg.effective_b
     mat = g.matrix.astype(np.float64)
     ties_seen = [False]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 from .graph import CsrGraph, Graph, RevealedView
 from .design import imbalance_recompute
 
@@ -46,9 +46,9 @@ class TrialOutcome:
 def _check_sign_vector(g: Graph | CsrGraph, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (g.n,):
-        raise ContractError(f"sign vector length {tau.shape} does not match n={g.n}")
+        raise ParameterError(f"sign vector length {tau.shape} does not match n={g.n}")
     if not np.isin(tau, (-1.0, 1.0)).all():
-        raise ContractError("sign vector entries must be +1 or -1")
+        raise ParameterError("sign vector entries must be +1 or -1")
     return tau
 
 

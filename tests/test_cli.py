@@ -534,6 +534,25 @@ class TestRejectedBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [edges]
 
+    @pytest.mark.parametrize("case", ["assign-out", "real-out", "real-summary-out"])
+    def test_output_naming_edge_list_exits_2(self, tmp_path, capsys, monkeypatch, no_work, case):
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\n")
+        before = edges.read_bytes()
+        # the edge list is named relative to the working directory, each output absolutely
+        monkeypatch.chdir(tmp_path)
+        argv = {
+            "assign-out": ["assign", "--edges", "net.txt", "--out", str(edges)],
+            "real-out": ["real", "--edges", "net.txt", "--sample", "2", "--out", str(edges)],
+            "real-summary-out": ["real", "--edges", "net.txt", "--sample", "2",
+                                 "--out", str(tmp_path / "x.csv"), "--summary-out", str(edges)],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edge list 'net.txt'" in err
+        assert edges.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [edges]
+
     def test_unrunnable_sparse_cell_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
         # log(n)/(c n) exceeds 1 at n = 2, the second cell; the first must not run
         def forbidden(*args, **kwargs):
@@ -696,6 +715,17 @@ class TestOracleCmd:
     def test_size_limit_usage_error(self):
         assert main(["oracle", "--n", "24", "--p", "0.5"]) == 2
 
+    @pytest.mark.parametrize("n", ["7", "22"])
+    def test_size_rejected_before_graph_is_drawn(self, capsys, monkeypatch, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a graph was drawn before n was checked")
+
+        monkeypatch.setattr(graph, "gen_er", forbidden)
+        assert main(["oracle", "--n", n, "--p", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: oracle needs even n with 2 <= n <= 20, got n={n}\n"
+
     def test_unknown_flag_exits_2(self, tmp_path):
         # real takes its sizes through --sample alone
         for argv in (["simulate", "--bogus"],
@@ -704,3 +734,27 @@ class TestOracleCmd:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+
+
+def test_error_vocabulary_and_exit_codes(monkeypatch, capsys):
+    # Three types, one meaning each: a usage error exits 2, a bad input file exits 1,
+    # and a broken engine rule is a bug that main does not turn into an exit code.
+    from netrand import errors
+
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert classes == {"ParameterError", "EdgeListParseError", "ContractError"}
+    def raising(exc):
+        def command(args):
+            raise exc
+        return command
+
+    argv = ["oracle", "--n", "8", "--p", "0.5"]
+    for exc, code in ((errors.ParameterError("x"), 2), (errors.EdgeListParseError("x"), 1),
+                      (FileNotFoundError("x"), 1)):
+        monkeypatch.setattr(cli, "cmd_oracle", raising(exc))
+        assert main(argv) == code
+        assert capsys.readouterr().err == "error: x\n"
+    monkeypatch.setattr(cli, "cmd_oracle", raising(errors.ContractError("x")))
+    with pytest.raises(errors.ContractError):
+        main(argv)

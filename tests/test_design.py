@@ -359,9 +359,9 @@ class TestRecompute:
 
     def test_length_mismatch_rejected(self):
         g = gen_er(ErParams(6, 0.5), seed=0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             imbalance_recompute(g, [1.0, -1.0], 4)
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             imbalance_recompute(g, [1.0] * 8, 8)
 
 

@@ -18,7 +18,6 @@ from netrand import (
     ParameterError,
     RevealedView,
     SbmParams,
-    UnsupportedKindError,
     density,
     from_edge_list,
     gen_er,
@@ -682,7 +681,7 @@ class TestDensity:
         assert avg_degree == pytest.approx(d * (g.n - 1) + 1)
 
     def test_weighted_unsupported(self):
-        with pytest.raises(UnsupportedKindError):
+        with pytest.raises(ParameterError):
             density(gen_goe(GoeParams(5, 1.0), seed=0))
 
 

@@ -317,3 +317,9 @@ class TestReductionReport:
         assert rep.adaptive_mean_i < rep.random_mean_i
         assert 0.0 < rep.reduction < 1.0
         assert rep.reduction == pytest.approx(1 - rep.adaptive_mean_i / rep.random_mean_i)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_too_few_reps_rejected(self, reps):
+        # the batched design checks reps before its first draw
+        with pytest.raises(ParameterError, match="reps must be at least 1"):
+            reduction_report(complete_graph(12), b=0.9, reps=reps, seed=0)

@@ -3,7 +3,6 @@ import pytest
 
 from netrand import (
     ADAPTIVE,
-    ContractError,
     DesignConfig,
     ErParams,
     OutcomeParams,
@@ -65,9 +64,9 @@ class TestSimulateOutcomes:
     def test_incomplete_tau_rejected(self):
         g = gen_er(ErParams(10, 0.5), seed=0)
         params = OutcomeParams(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             simulate_outcomes(g, balanced_tau(8), params, np.random.default_rng(0))
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             simulate_outcomes(g, np.zeros(10), params, np.random.default_rng(0))
 
     def test_odd_n_uses_paired_prefix(self):

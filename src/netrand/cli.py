@@ -89,14 +89,23 @@ def _summary_path(out: str) -> str:
     return out + ".summary.csv"
 
 
+def _file_id(path):
+    """An existing file's device and inode, which every hard link to it shares; else the resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(edges, *paths) -> None:
     """Reject output paths that coincide or name the input list ``edges`` (or None), are
     directories, or whose directory is missing or unwritable."""
     paths = list(filter(None, paths))
-    resolved = {Path(path).resolve() for path in paths}
-    if len(resolved) < len(paths):
+    ids = set(map(_file_id, paths))
+    if len(ids) < len(paths):
         raise ParameterError(f"output paths {paths} coincide; one file would overwrite the other")
-    if edges is not None and Path(edges).resolve() in resolved:
+    if edges is not None and _file_id(edges) in ids:
         raise ParameterError(f"an output path names the edge list {edges!r}; writing would overwrite it")
     for path in paths:
         if Path(path).is_dir():
@@ -306,6 +315,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParameterError) else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,9 @@ engine maintains the signed row-sum vector S of the revealed adjacency prefix
 (and, in the scalar loops, its squared norm: the squared imbalance) and
 evaluates both candidate assignments of a new pair from the two newly revealed
 rows, read over the pair's prefix columns N (all of them on a dense graph, the
-pair's neighbours on neighbour lists): O(|N|) per pair.
+pair's neighbours on neighbour lists): O(|N|) per pair.  Each loop reads the
+pairs from one ``RevealedView`` walk, which reveals each pair as it yields it;
+no loop reveals anything itself.
 
 State is kept in float64, but in Python integers by the scalar loop on
 neighbour lists.  For binary graphs every float is an integer below 2**53 (the
@@ -83,7 +85,7 @@ class PairIncrement(NamedTuple):
     """Quantities read from the two newly revealed rows of a dense graph over the prefix.
 
     ``y`` is the new-column difference over the whole prefix
-    (:meth:`RevealedView.pair_neighbours`), ``z1``/``z2`` the inner products
+    (:meth:`RevealedView.pair_rows`), ``z1``/``z2`` the inner products
     of the two new row prefixes with the sign prefix, and ``e`` the
     self-weight minus the entry joining the two new subjects.
     """
@@ -94,9 +96,8 @@ class PairIncrement(NamedTuple):
     e: float
 
 
-def increment_from_view(view: RevealedView, state: DesignState) -> PairIncrement:
-    """Build the increment for the next pair from the revealed prefix of a dense graph."""
-    rows, e = view.pair_neighbours(2 * state.pairs)
+def increment_from_view(rows: np.ndarray, e: float, state: DesignState) -> PairIncrement:
+    """The next pair's increment from its ``rows`` and ``e``, as :meth:`RevealedView.pair_rows` yields them."""
     block = rows.astype(np.float64)
     z1, z2 = (block @ state.tau).tolist()
     return PairIncrement(block[1] - block[0], z1, z2, e)
@@ -190,9 +191,8 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
     state = DesignState(0, np.zeros(2 * pairs), np.zeros(2 * pairs), 0.0)
     traj = np.empty(pairs, dtype=np.float64)
     # The first pair has an empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
-    for m, u in enumerate(draws):
-        view.reveal_to(2 * m + 2)
-        inc = increment_from_view(view, state)
+    for m, (u, (rows, e)) in enumerate(zip(draws, view.pair_rows())):
+        inc = increment_from_view(rows, e, state)
         step(state, inc, cfg, u)
         traj[m] = state.i2
     trajectory = _i2_result(g, traj)
@@ -210,10 +210,8 @@ def _run_on_lists(view: RevealedView, draws: list[float], cfg: DesignConfig):
     pairs = len(draws)
     s, tau, traj = [0] * (2 * pairs), [0] * (2 * pairs), array("q")
     s_at, tau_at = s.__getitem__, tau.__getitem__
-    i2, sides = 0, view.pair_sides()
-    for length, u in zip(range(0, 2 * pairs, 2), draws):
-        view.reveal_to(length + 2)
-        first, second, both, e = next(sides)
+    i2 = 0
+    for length, u, (first, second, both, e) in zip(range(0, 2 * pairs, 2), draws, view.pair_sides()):
         z1 = sum(map(tau_at, first))
         z2 = sum(map(tau_at, second))
         if both:  # columns joined to both subjects are rare on sparse lists
@@ -251,7 +249,7 @@ def run_design_final(g: Graph | CsrGraph, cfg: DesignConfig) -> tuple[np.ndarray
     rng = np.random.default_rng(cfg.seed)
     pairs = n // 2
     tau = _all_signs(_fair_pairs(rng.random(pairs)), n, rng)
-    return tau, imbalance_recompute(g, tau, 2 * pairs)
+    return tau, imbalance_recompute(g, tau[:2 * pairs])
 
 
 def _all_signs(paired: np.ndarray | list[int], n: int, rng) -> np.ndarray:
@@ -292,31 +290,28 @@ def _fair_pairs(u: np.ndarray) -> np.ndarray:
     return np.stack([first, -first], axis=1).reshape(2 * u.shape[0], *u.shape[1:])
 
 
-def imbalance_recompute(g: Graph | CsrGraph, tau, upto: int | None = None):
-    """Squared imbalance of a sign prefix by direct multiplication.
+def imbalance_recompute(g: Graph | CsrGraph, tau):
+    """Squared imbalance of the signs of the first k subjects by direct multiplication.
 
     Reference checker for the incremental path, and the fair-coin arms' one
-    recompute: the squared norm of A^(upto) tau[:upto], or of each column of
-    a (n, r) block of signs.  Returns an int for binary graphs (int64 per
-    column of a block); a sign vector is multiplied in integers
+    recompute: the squared norm of A^(k) tau for k = ``len(tau)``, or of each
+    column of a (k, r) block of signs.  Returns an int for binary graphs
+    (int64 per column of a block); a sign vector is multiplied in integers
     (:meth:`RevealedView.matvec`), so it is exact with no float copy of a
     dense matrix.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim not in (1, 2):
         raise ParameterError("signs must be a vector or a block of columns")
-    if upto is None:
-        upto = tau.shape[0]
-    if upto < 1 or upto > g.n or upto > tau.shape[0]:
-        raise ParameterError(f"prefix length {upto} invalid for n={g.n}, tau={tau.shape[0]}")
-    prefix = tau[:upto]
-    if not np.isin(prefix, (-1.0, 1.0)).all():
+    if not 1 <= tau.shape[0] <= g.n:
+        raise ParameterError(f"{tau.shape[0]} signs invalid for n={g.n}")
+    if not np.isin(tau, (-1.0, 1.0)).all():
         raise ParameterError("signs must be +1 or -1")
-    view = RevealedView(g, upto)
+    view = RevealedView(g)
     if tau.ndim == 1:
-        s = view.matvec(prefix if g.weighted else prefix.astype(np.int8))
+        s = view.matvec(tau if g.weighted else tau.astype(np.int8))
         return (s @ s).item()
-    s = view.matvec(prefix)
+    s = view.matvec(tau)
     return _i2_result(g, (s * s).sum(axis=0))
 
 
@@ -329,8 +324,8 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     (property-tested against the scalar engine).  The candidates are ``c + d``
     (pair gets (0,1)) and ``c - d`` (pair gets (1,0)), so the coin reads sign(d)
     against an int8 table of the block.  Reads the graph through a
-    :class:`RevealedView` revealed pair by pair, as :func:`run_design` does,
-    and touches only the new pair's prefix columns N
+    :class:`RevealedView`'s walk, which reveals it pair by pair as
+    :func:`run_design`'s does, and touches only the new pair's prefix columns N
     (:meth:`RevealedView.pair_blocks`): S and the signs are kept
     subject-major, as ``(n2, reps)`` arrays, so ``s[N]`` and ``tau[N]`` are
     row gathers.  On neighbour lists ``graph.check_exact_bound`` runs before

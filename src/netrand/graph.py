@@ -5,8 +5,8 @@ Generated graphs are a dense ``Graph``: binary adjacency as a uint8 matrix
 (unit diagonal), weighted adjacency as float64.  Edge lists are read into a
 ``CsrGraph`` of sorted neighbour lists, O(n + |E|), and induced samples of
 one stay neighbour lists.  Designs and outcome simulation read either form
-only through ``RevealedView``, so a design on neighbour lists never builds
-an n x n matrix.
+only through ``RevealedView``, whose every read reveals exactly the subjects
+it reads, so a design on neighbour lists never builds an n x n matrix.
 """
 from __future__ import annotations
 
@@ -82,16 +82,17 @@ class Graph:
         return self.matrix.dtype == np.float64
 
 
+def _upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
+    """Row and column slices of an n x n matrix's tiles on and above the diagonal, row by row."""
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, min(i0 + _TILE, n))
+        for j0 in range(i0, n, _TILE):
+            yield rows, slice(j0, min(j0 + _TILE, n))
+
+
 def _is_symmetric(m: np.ndarray) -> bool:
     """``m == m.T``, compared one tile pair at a time; stops at the first mismatch."""
-    n = m.shape[0]
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        for j0 in range(i0, n, _TILE):
-            j1 = min(j0 + _TILE, n)
-            if not np.array_equal(m[i0:i1, j0:j1], m[j0:j1, i0:i1].T):
-                return False
-    return True
+    return all(np.array_equal(m[r, c], m[c, r].T) for r, c in _upper_tiles(m.shape[0]))
 
 
 def check_dense_size(n: int) -> None:
@@ -192,57 +193,54 @@ def check_exact_bound(degrees: np.ndarray, k: int) -> None:
 
 
 class RevealedView:
-    """Read access restricted to the upper-left principal submatrix.
+    """Read access restricted to the upper-left principal submatrix of subjects revealed so far.
 
     The sequential design only observes connections among subjects that have
-    already arrived; any read outside the revealed prefix raises ContractError.
-    Each pair read serves one loop: ``pair_neighbours`` a dense ``Graph``'s numpy
-    loop, ``pair_sides`` a ``CsrGraph``'s Python integer loop, and ``pair_blocks``
-    the batched kernel on either storage.  ``matvec`` serves both storages.
+    already arrived.  A view starts with nothing revealed, and every read
+    reveals exactly the subjects it reads, through ``reveal_to``: each pair
+    walk reveals 2m + 2 before it yields pair m, and ``matvec(v)`` reveals
+    ``len(v)``.  A read that would shrink the prefix, or pass n, raises
+    ContractError.  Each walk serves one loop: ``pair_rows`` a dense
+    ``Graph``'s numpy loop, ``pair_sides`` a ``CsrGraph``'s Python integer
+    loop, and ``pair_blocks`` the batched kernel on either storage.
     """
 
-    def __init__(self, graph: Graph | CsrGraph, revealed: int = 0):
-        if not 0 <= revealed <= graph.n:
-            raise ParameterError("revealed prefix out of range")
+    def __init__(self, graph: Graph | CsrGraph):
         self.graph = graph
-        self._revealed = revealed
+        self._revealed = 0
 
     def reveal_to(self, k: int) -> None:
         if k < self._revealed or k > self.graph.n:
             raise ContractError(f"cannot reveal prefix {k} (currently {self._revealed})")
         self._revealed = k
 
-    def pair_neighbours(self, length: int) -> tuple[np.ndarray, float]:
-        """A dense ``Graph``'s newest pair: its two rows over the prefix [0, length), and e.
+    def pair_rows(self) -> Iterator[tuple[np.ndarray, float]]:
+        """A dense ``Graph``'s pairs in order, one per ``next``: two rows over the prefix, and e.
 
-        The pair is subjects (length, length + 1), with ``length`` even.  ``e``
-        is the self-weight minus the entry joining the two, as a float.  A
+        Pair m is subjects (2m, 2m + 1); it yields their rows over [0, 2m) and
+        ``e``, the self-weight minus the entry joining the two, as a float.  A
         ``CsrGraph``'s pairs are read by ``pair_sides`` or ``pair_blocks``.
         """
         g = self.graph
         if not isinstance(g, Graph):
-            raise ContractError("pair_neighbours reads a dense Graph; read neighbour lists by pair_sides")
-        if length < 0 or length % 2 or length + 2 > self._revealed:
-            raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
-        rows = g.matrix[length:length + 2, :length + 2]
-        return rows[:, :length], float(rows[0, length]) - float(rows[0, length + 1])
+            raise ContractError("pair_rows reads a dense Graph; read neighbour lists by pair_sides")
+        for length in range(0, g.n - 1, 2):
+            self.reveal_to(length + 2)
+            rows = g.matrix[length:length + 2, :length + 2]
+            yield rows[:, :length], float(rows[0, length]) - float(rows[0, length + 1])
 
     def pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
         """Every pair's prefix read in order, one per ``next``: ``(cols, block, y, e)``.
 
-        Pair m is revealed first, by ``reveal_to(2m + 2)``, so the view must not be
-        revealed past the first pair when the walk starts.  ``cols`` are the prefix
-        columns where either of the pair's rows is nonzero, ``block`` the two rows'
-        float64 entries there, ``y = block[1] - block[0]`` and ``e`` the
-        self-weight minus the entry joining the two.  A dense ``Graph``'s pairs
-        come from ``pair_neighbours``; on a ``CsrGraph`` the tuples are slices of
-        float64 tables built once per call.
+        ``cols`` are the prefix columns where either of the pair's rows is
+        nonzero, ``block`` the two rows' float64 entries there,
+        ``y = block[1] - block[0]`` and ``e`` the self-weight minus the entry
+        joining the two.  A dense ``Graph``'s pairs come from ``pair_rows``; on
+        a ``CsrGraph`` the tuples are slices of float64 tables built once per call.
         """
         g = self.graph
         if isinstance(g, Graph):
-            for length in range(0, g.n - 1, 2):
-                self.reveal_to(length + 2)
-                rows, e = self.pair_neighbours(length)
+            for rows, e in self.pair_rows():
                 cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
                 block = rows[:, cols].astype(np.float64)
                 yield cols, block, block[1] - block[0], e
@@ -262,7 +260,10 @@ class RevealedView:
         to both, as slices of flat int64 ``array``s built in one pass, and e (the
         unit self-weight minus the entry joining the two) as an int.
         """
-        ptr, cols, vals, e = _pair_lists(self.graph)
+        g = self.graph
+        if not isinstance(g, CsrGraph):
+            raise ContractError("pair_sides reads neighbour lists; read a dense Graph by pair_rows")
+        ptr, cols, vals, e = _pair_lists(g)
         (o0, c0), (o1, c1), (o2, c2) = (
             (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
             for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
@@ -270,27 +271,28 @@ class RevealedView:
         # Each pair's bounds in the three tables, read in order rather than indexed by m.
         bounds = zip(o0, islice(o0, 1, None), o1, islice(o1, 1, None), o2, islice(o2, 1, None))
         for length, e_m, (a0, b0, a1, b1, a2, b2) in zip(count(0, 2), e.astype(np.int64).tolist(), bounds):
-            if length + 2 > self._revealed:
-                raise ContractError(f"pair at {length} outside revealed prefix {self._revealed}")
+            self.reveal_to(length + 2)
             yield c0[a0:b0], c1[a1:b1], c2[a2:b2], e_m
 
     def matvec(self, v) -> np.ndarray:
-        """Revealed submatrix times ``v``: a length-k vector or a (k, r) block of columns.
+        """The first k subjects' submatrix times ``v``, a length-k vector or a (k, r) block of columns.
 
-        A float ``v`` is multiplied in float64.  A dense ``Graph`` is converted
-        in row chunks; on a ``CsrGraph`` each subject adds the entries of ``v``
-        at its neighbours in the prefix, one column at a time.  An int8 vector
-        on a binary graph is multiplied exactly and returned as int64; a dense
-        matrix is then read as it is, with no float copy.
+        Reveals k = ``len(v)`` subjects.  A float ``v`` is multiplied in
+        float64.  A dense ``Graph`` is converted in row chunks; on a
+        ``CsrGraph`` each subject adds the entries of ``v`` at its neighbours
+        in the prefix, one column at a time.  An int8 vector on a binary graph
+        is multiplied exactly and returned as int64; a dense matrix is then
+        read as it is, with no float copy.
         """
-        k = self._revealed
         g = self.graph
         v = np.asarray(v)
+        if v.ndim not in (1, 2):
+            raise ContractError(f"matvec takes a vector or a block of columns, got shape {v.shape}")
+        k = v.shape[0]
+        self.reveal_to(k)
         exact = v.dtype == np.int8 and v.ndim == 1 and not g.weighted
         if not exact:
             v = v.astype(np.float64, copy=False)
-        if v.shape[:1] != (k,) or v.ndim > 2:
-            raise ContractError(f"vector of shape {v.shape} does not match revealed prefix {k}")
         if isinstance(g, CsrGraph):
             rows, cols = g._rows(np.arange(k)), g.indices[:g.indptr[k]]
             inside = cols < k
@@ -382,16 +384,12 @@ def _mirror_upper(a: np.ndarray) -> None:
     The lower triangle and the diagonal must be zero: a diagonal tile then
     adds its own transpose, which is zero wherever the tile is set.
     """
-    n = a.shape[0]
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        for j0 in range(i0, n, _TILE):
-            j1 = min(j0 + _TILE, n)
-            if j0 > i0:
-                a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
-            else:
-                block = a[i0:i1, j0:j1]
-                block += block.T
+    for r, c in _upper_tiles(a.shape[0]):
+        if r == c:
+            block = a[r, c]
+            block += block.T
+        else:
+            a[c, r] = a[r, c].T
 
 
 def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:

@@ -62,7 +62,7 @@ def simulate_outcomes(g: Graph | CsrGraph, tau, params: OutcomeParams, rng) -> T
     z = rng.normal(0.0, params.sigma_z, n)
     eps = rng.normal(0.0, params.sigma_eps, n)
     effects = np.where(tau > 0, params.mu0, params.mu1)
-    x = effects + RevealedView(g, n).matvec(z) + eps
+    x = effects + RevealedView(g).matvec(z) + eps
     paired_n = n - (n % 2)
     w = 2.0 / paired_n * float(tau[:paired_n] @ x[:paired_n])
     return TrialOutcome(x=x, w=w)
@@ -74,5 +74,5 @@ def analytic_variance(g: Graph | CsrGraph, tau, params: OutcomeParams) -> float:
     n = g.n
     if n % 2:
         raise ParameterError("analytic variance is defined for even n")
-    i2 = float(imbalance_recompute(g, tau, n))
+    i2 = float(imbalance_recompute(g, tau))
     return 4.0 / n**2 * i2 * params.sigma_z**2 + 4.0 / n * params.sigma_eps**2

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,38 @@ def test_golden_output_bytes(tmp_path, capsys, name):
     if "stdout" in digests:
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == digests
+
+
+def test_ci_console_script_digests_are_golden():
+    # Each netrand line of CI's "Installed console script" step is a GOLDEN entry's argv
+    # plus an output (--out or a redirect of stdout), and each digest checked after it is
+    # that entry's digest of the same output.
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    start = lines.index("      - name: Installed console script")
+    stop = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("      - name:"))
+    golden = {tuple(argv): (name, digests) for name, (argv, digests) in GOLDEN.items()}
+    runs = []
+    for line in map(str.strip, lines[start:stop]):
+        if line.startswith("netrand "):
+            words = shlex.split(line)[1:]
+            if words[-2] == ">":
+                outputs, argv = {words[-1]: "stdout"}, words[:-2]
+            else:
+                at = words.index("--out")
+                out = words[at + 1]
+                outputs = {out: "out.csv", out.removesuffix(".csv") + ".summary.csv": "out.summary.csv"}
+                argv = words[:at] + words[at + 2:]
+            assert tuple(argv) in golden, f"{line!r} runs no GOLDEN entry"
+            name, digests = golden[tuple(argv)]
+            runs.append((name, outputs, {}))
+        elif "sha256sum --check" in line:
+            digest, path = shlex.split(line)[1].split()
+            name, outputs, checked = runs[-1]
+            checked[outputs[path]] = digest
+    assert [name for name, _, _ in runs]
+    for name, _, checked in runs:
+        assert checked and checked.items() <= GOLDEN[name][1].items(), name
 
 
 def test_outcome_bytes_independent_of_blas_threads(tmp_path):
@@ -534,11 +567,15 @@ class TestRejectedBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [edges]
 
-    @pytest.mark.parametrize("case", ["assign-out", "real-out", "real-summary-out"])
+    @pytest.mark.parametrize("case", ["assign-out", "real-out", "real-summary-out", "assign-hard-link"])
     def test_output_naming_edge_list_exits_2(self, tmp_path, capsys, monkeypatch, no_work, case):
         edges = tmp_path / "net.txt"
         edges.write_text("a b\nb c\n")
         before = edges.read_bytes()
+        # a second name of the same file, which resolves to a path of its own
+        link = tmp_path / "net2.txt"
+        if case == "assign-hard-link":
+            os.link(edges, link)
         # the edge list is named relative to the working directory, each output absolutely
         monkeypatch.chdir(tmp_path)
         argv = {
@@ -546,12 +583,13 @@ class TestRejectedBeforeWork:
             "real-out": ["real", "--edges", "net.txt", "--sample", "2", "--out", str(edges)],
             "real-summary-out": ["real", "--edges", "net.txt", "--sample", "2",
                                  "--out", str(tmp_path / "x.csv"), "--summary-out", str(edges)],
+            "assign-hard-link": ["assign", "--edges", "net.txt", "--out", str(link)],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "edge list 'net.txt'" in err
         assert edges.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [edges]
+        assert sorted(tmp_path.iterdir()) == [edges] + [link] * (case == "assign-hard-link")
 
     def test_unrunnable_sparse_cell_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
         # log(n)/(c n) exceeds 1 at n = 2, the second cell; the first must not run

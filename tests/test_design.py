@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -106,10 +107,9 @@ def weighted_pair_graph(w):
     return Graph(m)
 
 
-def revealed(g, k):
-    view = RevealedView(g)
-    view.reveal_to(k)
-    return view
+def pair_rows(g, m):
+    """Pair m's ``(rows, e)``, as a fresh view's ``pair_rows`` walk yields them."""
+    return next(islice(RevealedView(g).pair_rows(), m, None))
 
 
 def empty_state(n):
@@ -121,8 +121,8 @@ def empty_state(n):
 def first_step(g, rng, cfg=DesignConfig(), view=None):
     """State after the first ``step``: pair (0, 1) decided over the empty prefix."""
     st_ = empty_state(g.n)
-    inc = increment_from_view(revealed(g, 2) if view is None else view, st_)
-    return step(st_, inc, cfg, rng.random())
+    walk = (RevealedView(g) if view is None else view).pair_rows()
+    return step(st_, increment_from_view(*next(walk), st_), cfg, rng.random())
 
 
 class TestFirstPair:
@@ -143,29 +143,32 @@ class TestFirstPair:
         # the empty prefix makes both candidates 2 e^2, so even b = 1 leaves a fair coin
         g = pair_graph(0)
         st_ = empty_state(2)
-        assert candidate_imbalances(st_, increment_from_view(revealed(g, 2), st_)) == (2.0, 2.0)
+        assert candidate_imbalances(st_, increment_from_view(*pair_rows(g, 0), st_)) == (2.0, 2.0)
         cfg = DesignConfig(ADAPTIVE, b=1.0)
         lo = first_step(g, Replay([0.49]), cfg)
         hi = first_step(g, Replay([0.51]), cfg)
         assert lo.tau[0] == 1.0 and hi.tau[0] == -1.0
 
     def test_requires_revealed_prefix(self):
-        g = pair_graph(1)
+        # the first pair cannot be read from a view that has read past it
+        g = complete_graph(4)
+        view = RevealedView(g)
+        view.matvec(np.ones(4))
         with pytest.raises(ContractError):
-            first_step(g, Replay([0.1]), view=RevealedView(g))
+            first_step(g, Replay([0.1]), view=view)
 
 
 class TestCandidates:
     def test_complete_graph_ties_at_zero(self):
         g = complete_graph(6)
         st_ = first_step(g, Replay([0.1]))
-        inc = increment_from_view(revealed(g, 4), st_)
+        inc = increment_from_view(*pair_rows(g, 1), st_)
         assert candidate_imbalances(st_, inc) == (0.0, 0.0)
 
     def test_identity_graph_ties(self):
         g = identity_graph(6)
         st_ = first_step(g, Replay([0.1]))
-        inc = increment_from_view(revealed(g, 4), st_)
+        inc = increment_from_view(*pair_rows(g, 1), st_)
         i2_01, i2_10 = candidate_imbalances(st_, inc)
         assert i2_01 == i2_10 == 2 * st_.pairs + 2
 
@@ -174,13 +177,12 @@ class TestCandidates:
             g = gen_er(ErParams(6, 0.5), seed=seed)
             rng = np.random.default_rng(seed)
             st_ = first_step(g, rng)
-            view = revealed(g, 4)
-            inc = increment_from_view(view, st_)
+            inc = increment_from_view(*pair_rows(g, 1), st_)
             i2_01, i2_10 = candidate_imbalances(st_, inc)
             tau01 = np.concatenate([st_.tau, [1.0, -1.0]])
             tau10 = np.concatenate([st_.tau, [-1.0, 1.0]])
-            assert int(i2_01) == imbalance_recompute(g, tau01, 4)
-            assert int(i2_10) == imbalance_recompute(g, tau10, 4)
+            assert int(i2_01) == imbalance_recompute(g, tau01)
+            assert int(i2_10) == imbalance_recompute(g, tau10)
 
     def test_dimension_mismatch_rejected(self):
         # y must have one entry per prefix column
@@ -198,12 +200,10 @@ def test_increment_identity_z2_minus_z1(pairs, seed):
     # z2 - z1 must equal the sign prefix dotted with the column difference
     g = gen_er(ErParams(2 * pairs + 2, 0.3), seed=seed)
     rng = np.random.default_rng(seed)
-    view = RevealedView(g)
     st_ = empty_state(g.n)
     cfg = DesignConfig(ADAPTIVE, b=0.8)
-    for m in range(pairs + 1):
-        view.reveal_to(2 * m + 2)
-        inc = increment_from_view(view, st_)
+    for rows, e in RevealedView(g).pair_rows():
+        inc = increment_from_view(rows, e, st_)
         assert inc.z2 - inc.z1 == pytest.approx(float(st_.tau @ inc.y))
         step(st_, inc, cfg, rng.random())
 
@@ -214,8 +214,7 @@ class TestStep:
             g = gen_er(ErParams(10, 0.4), seed=seed)
             rng = np.random.default_rng(seed)
             st_ = first_step(g, rng)
-            view = revealed(g, 4)
-            inc = increment_from_view(view, st_)
+            inc = increment_from_view(*pair_rows(g, 1), st_)
             i2_01, i2_10 = candidate_imbalances(st_, inc)
             step(st_, inc, DesignConfig(ADAPTIVE, b=1.0), rng.random())
             if i2_01 != i2_10:
@@ -239,7 +238,7 @@ class TestStep:
         ]
         for first, candidates, u, sign in cases:
             st_ = first_step(g, Replay([first]), cfg)
-            inc = increment_from_view(revealed(g, 4), st_)
+            inc = increment_from_view(*pair_rows(g, 1), st_)
             assert candidate_imbalances(st_, inc) == candidates
             step(st_, inc, cfg, u)
             assert st_.tau[2:].tolist() == [sign, -sign]
@@ -248,7 +247,7 @@ class TestStep:
         assert first_step(g, Replay([0.5]), cfg).tau.tolist() == [-1.0, 1.0]
         tied = complete_graph(4)
         st_ = first_step(tied, Replay([0.25]), cfg)
-        inc = increment_from_view(revealed(tied, 4), st_)
+        inc = increment_from_view(*pair_rows(tied, 1), st_)
         assert candidate_imbalances(st_, inc) == (0.0, 0.0)
         assert step(st_, inc, cfg, 0.5).tau[2:].tolist() == [-1.0, 1.0]
 
@@ -304,7 +303,7 @@ class TestRunDesign:
         assert replay.used == 6
         assert replay.sizes == [5, None]  # the pairs' block, then the trailing subject's scalar
         assert res.final_i2 == res.i2_trajectory[-1]
-        assert res.final_i2 == imbalance_recompute(g, res.tau[:10], 10)
+        assert res.final_i2 == imbalance_recompute(g, res.tau[:10])
 
     def test_odd_last_subject_fair_coin(self):
         g = gen_er(ErParams(5, 0.5), seed=1)
@@ -346,23 +345,23 @@ class TestRecompute:
         m[0, 1] = m[1, 0] = 1
         g = Graph(m)
         tau = [1.0, -1.0, 1.0, -1.0]
-        assert imbalance_recompute(g, tau, 4) == 2
+        assert imbalance_recompute(g, tau) == 2
         s = g.matrix.astype(float) @ np.asarray(tau)
         assert np.array_equal(s, [0.0, 0.0, 1.0, -1.0])
 
     def test_weighted_scaling_is_quadratic(self):
         g = gen_goe(GoeParams(10, 0.5), seed=2)
         tau = np.resize([1.0, -1.0], 10)
-        base = imbalance_recompute(g, tau, 10)
-        scaled = imbalance_recompute(Graph(g.matrix * 3.0), tau, 10)
+        base = imbalance_recompute(g, tau)
+        scaled = imbalance_recompute(Graph(g.matrix * 3.0), tau)
         assert scaled == pytest.approx(9.0 * base)
 
     def test_length_mismatch_rejected(self):
         g = gen_er(ErParams(6, 0.5), seed=0)
         with pytest.raises(ParameterError):
-            imbalance_recompute(g, [1.0, -1.0], 4)
+            imbalance_recompute(g, [])
         with pytest.raises(ParameterError):
-            imbalance_recompute(g, [1.0] * 8, 8)
+            imbalance_recompute(g, [1.0] * 8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,7 +376,7 @@ def test_incremental_exactness_property(pairs, p, policy, seed):
     g = gen_er(ErParams(2 * pairs, p), seed=seed)
     res = run_design(g, DesignConfig(policy, b=0.85, seed=seed + 1))
     for m in range(1, pairs + 1):
-        assert int(res.i2_trajectory[m - 1]) == imbalance_recompute(g, res.tau[: 2 * m], 2 * m)
+        assert int(res.i2_trajectory[m - 1]) == imbalance_recompute(g, res.tau[: 2 * m])
 
 
 @settings(max_examples=20, deadline=None)
@@ -387,11 +386,9 @@ def test_maintained_s_matches_dense_recompute(pairs, seed):
     g = gen_er(ErParams(2 * pairs, 0.4), seed=seed)
     cfg = DesignConfig(ADAPTIVE, b=0.9)
     rng = np.random.default_rng(seed)
-    view = RevealedView(g)
     st_ = empty_state(g.n)
-    for m in range(pairs):
-        view.reveal_to(2 * m + 2)
-        step(st_, increment_from_view(view, st_), cfg, rng.random())
+    for rows, e in RevealedView(g).pair_rows():
+        step(st_, increment_from_view(rows, e, st_), cfg, rng.random())
         k = 2 * st_.pairs
         dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
         assert np.array_equal(st_.s, dense)
@@ -441,8 +438,8 @@ class TestDeterminismAtBOne:
             tau_real = res.tau[: 2 * m].astype(np.float64)
             tau_flip = tau_real.copy()
             tau_flip[-2:] = -tau_flip[-2:]
-            realized = imbalance_recompute(g, tau_real, 2 * m)
-            flipped = imbalance_recompute(g, tau_flip, 2 * m)
+            realized = imbalance_recompute(g, tau_real)
+            flipped = imbalance_recompute(g, tau_flip)
             assert realized <= flipped
 
 
@@ -600,39 +597,6 @@ def test_stream_advances_by_the_randomness_budget_on_both_storages(n):
         res = run_design(g, cfg, rng=rng)
         assert rng.random() == next_double
         assert np.array_equal(res.tau, run_design(g, cfg, rng=Replay(scalar_draws)).tau)
-
-
-def test_pair_read_outside_prefix_rejected_on_both_storages():
-    g = csr_from_edges(9, np.array([0, 1, 2, 5, 8]), np.array([3, 4, 7, 6, 0]))
-    dense = g.to_dense()
-    view = RevealedView(dense, revealed=6)
-    for length in (0, 2, 4):
-        view.pair_neighbours(length)
-    for length in (-2, 1, 6, 8):
-        with pytest.raises(ContractError):
-            view.pair_neighbours(length)
-    st_ = empty_state(dense.n)
-    for m in range(3):
-        step(st_, increment_from_view(view, st_), DesignConfig(seed=0), 0.4)
-    with pytest.raises(ContractError):
-        increment_from_view(view, st_)
-    # the scalar numpy step reads dense rows only: neighbour lists go through pair_sides
-    for length in (0, 2, 4):
-        with pytest.raises(ContractError):
-            RevealedView(g, revealed=6).pair_neighbours(length)
-    with pytest.raises(ContractError):
-        increment_from_view(RevealedView(g, revealed=6), empty_state(g.n))
-    # pair_blocks reveals pair m itself, so it cannot start past the first pair
-    for h in (g, dense):
-        for revealed in (4, 6):
-            with pytest.raises(ContractError):
-                next(RevealedView(h, revealed=revealed).pair_blocks())
-    sides = RevealedView(g, revealed=6).pair_sides()
-    reads = [next(sides) for _ in range(3)]
-    assert [[list(c) for c in read[:3]] for read in reads] == [[[], [], []], [[], [0], []], [[1], [], []]]
-    assert [read[3] for read in reads] == [1, 1, 1]
-    with pytest.raises(ContractError):
-        next(sides)
 
 
 @st.composite

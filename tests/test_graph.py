@@ -318,7 +318,7 @@ class TestCsrGraph:
         g = gen_er(ErParams(23, 0.3), seed=5)
         v = np.arange(1.0, 24.0)
         for k in (0, 1, 10, 23):
-            got = RevealedView(csr_of(g), revealed=k).matvec(v[:k])
+            got = RevealedView(csr_of(g)).matvec(v[:k])
             assert np.array_equal(got, g.matrix[:k, :k].astype(np.float64) @ v[:k])
 
     def test_matvec_of_a_block_and_of_int8_signs(self):
@@ -326,13 +326,11 @@ class TestCsrGraph:
         signs = np.where(np.random.default_rng(6).random((23, 4)) < 0.5, 1.0, -1.0)
         for h in (g, csr_of(g)):
             for k in (1, 10, 23):
-                view, a = RevealedView(h, revealed=k), g.matrix[:k, :k]
+                view, a = RevealedView(h), g.matrix[:k, :k]
                 assert np.array_equal(view.matvec(signs[:k]), a.astype(np.float64) @ signs[:k])
                 got = view.matvec(signs[:k, 0].astype(np.int8))
                 assert got.dtype == np.int64
                 assert np.array_equal(got, a.astype(np.int64) @ signs[:k, 0].astype(np.int64))
-            with pytest.raises(ContractError):
-                RevealedView(h, revealed=10).matvec(signs[:9])
 
     def test_density_counts_stored_entries(self):
         g = gen_er(ErParams(40, 0.2), seed=1)
@@ -686,24 +684,58 @@ class TestDensity:
 
 
 class TestRevealedView:
-    def test_prefix_enforced(self):
-        g = gen_er(ErParams(10, 0.5), seed=0)
-        for view in (RevealedView(g), RevealedView(csr_of(g))):
-            view.reveal_to(4)
+    @pytest.mark.parametrize("storage", ["dense", "lists"])
+    @pytest.mark.parametrize("read", ["pair_rows", "pair_sides", "pair_blocks", "matvec"])
+    def test_each_read_reveals_exactly_what_it_reads(self, read, storage):
+        g = gen_er(ErParams(11, 0.5), seed=0)
+        h = g if storage == "dense" else csr_of(g)
+        view = RevealedView(h)
+        assert view._revealed == 0
+        if read == "matvec":
+            for k in (0, 3, 4, 4, 11):
+                got = view.matvec(np.ones(k))
+                assert view._revealed == k
+                assert np.array_equal(got, g.matrix[:k, :k].sum(axis=1))
+            for k in (12, 10):  # past n, then shorter than the prefix read
+                with pytest.raises(ContractError):
+                    view.matvec(np.ones(k))
+            view = RevealedView(h)
+            view.matvec(np.ones(4))
+            with pytest.raises(ContractError):  # a walk cannot start behind a longer read
+                next(view.pair_blocks())
+            return
+        if (read, storage) in (("pair_rows", "lists"), ("pair_sides", "dense")):
+            # each scalar loop's walk reads one storage
             with pytest.raises(ContractError):
-                view.matvec(np.ones(5))
-        view = RevealedView(g, revealed=4)
-        rows, e = view.pair_neighbours(2)
-        assert np.array_equal(rows, g.matrix[2:4, :2])
-        assert type(e) is float and e == 1.0 - g.matrix[2, 3]
-        for length in (3, 4, -1, -2):
-            with pytest.raises(ContractError):
-                view.pair_neighbours(length)
+                next(getattr(view, read)())
+            return
+        m = -1
+        for m, pair in enumerate(getattr(view, read)()):
+            assert view._revealed == 2 * m + 2
+            # the pair's rows rebuilt over exactly the 2m prefix columns
+            if read == "pair_rows":
+                rows = pair[0]
+            else:
+                rows = np.zeros((2, 2 * m))
+                if read == "pair_blocks":
+                    rows[:, pair[0]] = pair[1]
+                else:
+                    first, second, both = map(list, pair[:3])
+                    rows[0, first + both] = rows[1, second + both] = 1
+            assert np.array_equal(rows, g.matrix[2 * m:2 * m + 2, :2 * m])
+            assert pair[-1] == 1 - g.matrix[2 * m, 2 * m + 1]
+        assert m == 4 and view._revealed == 10
+        # a second walk, or a shorter matvec, after the walk
+        with pytest.raises(ContractError):
+            next(getattr(view, read)())
+        with pytest.raises(ContractError):
+            view.matvec(np.ones(9))
+        assert view._revealed == 10
 
     def test_matvec_is_prefix_product(self):
         g = gen_goe(GoeParams(9, 0.5), seed=3)
         v = np.linspace(-1.0, 1.0, 6)
-        view = RevealedView(g, revealed=6)
+        view = RevealedView(g)
         assert np.allclose(view.matvec(v), g.matrix[:6, :6] @ v)
 
     @pytest.mark.parametrize(
@@ -717,14 +749,15 @@ class TestRevealedView:
     )
     def test_pair_neighbours_are_nonzero_pair_row_columns(self, g):
         # dense storage reads every prefix column, so every nonzero one of the pair's rows
-        view = RevealedView(g, revealed=g.n)
-        for length in range(0, g.n - 1, 2):
-            vals, e = view.pair_neighbours(length)
+        reads = 0
+        for length, (vals, e) in zip(range(0, g.n - 1, 2), RevealedView(g).pair_rows()):
             assert vals.dtype == g.matrix.dtype
             assert np.array_equal(vals, g.matrix[length:length + 2, :length])
             # the self-weight minus the entry joining the pair
             assert type(e) is float
             assert e == float(g.matrix[length, length]) - float(g.matrix[length, length + 1])
+            reads += 1
+        assert reads == g.n // 2
 
     @pytest.mark.parametrize(
         "g",
@@ -738,14 +771,14 @@ class TestRevealedView:
         ids=["binary", "sparse", "weighted", "isolated"],
     )
     def test_pair_blocks_are_pair_neighbours_without_zero_columns(self, g):
-        reference = RevealedView(g, revealed=g.n)
         stores = [g] if g.weighted else [g, csr_of(g)]
         for h in stores:
             view, reads = RevealedView(h), 0
             for m, (cols, block, y, e) in enumerate(view.pair_blocks()):
                 assert view._revealed == 2 * m + 2
                 # the dense prefix rows, with the columns zero in both dropped
-                vals, want_e = reference.pair_neighbours(2 * m)
+                vals = g.matrix[2 * m:2 * m + 2, :2 * m]
+                want_e = float(g.matrix[2 * m, 2 * m]) - float(g.matrix[2 * m, 2 * m + 1])
                 want_cols = np.flatnonzero((vals != 0).any(axis=0))
                 assert cols.dtype.kind == "i" and np.array_equal(cols, want_cols)
                 assert block.dtype == y.dtype == np.float64
@@ -764,24 +797,6 @@ class TestRevealedView:
             assert [r[3] for r in reads] == [0.0, 0.0, 1.0, 1.0]
             assert reads[0][1].shape == (2, 0) and reads[0][2].shape == (0,)
             assert reads[2][1].tolist() == [[1.0], [0.0]] and reads[2][2].tolist() == [-1.0]
-
-    def test_pair_neighbours_prefix_enforced(self):
-        g = complete_graph(10)
-        view = RevealedView(g, revealed=4)
-        vals, e = view.pair_neighbours(2)
-        assert np.array_equal(vals, g.matrix[2:4, :2]) and e == 0.0
-        for length in (3, 4, 8, -1):
-            with pytest.raises(ContractError):
-                view.pair_neighbours(length)
-        # neighbour lists are read by pair_sides and pair_blocks, never by pair_neighbours
-        for length in (2, 3, 4, 8, -1):
-            with pytest.raises(ContractError):
-                RevealedView(csr_of(g), revealed=4).pair_neighbours(length)
-
-    def test_cannot_unreveal(self):
-        view = RevealedView(gen_er(ErParams(6, 0.5), seed=0), revealed=4)
-        with pytest.raises(ContractError):
-            view.reveal_to(2)
 
 
 class TestGraphType:

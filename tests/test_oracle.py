@@ -42,7 +42,7 @@ class TestBruteForce:
     def test_matches_independent_enumeration(self):
         g = gen_er(ErParams(8, 0.5), seed=3)
         res = brute_force_min(g)
-        values = [imbalance_recompute(g, tau, 8) for tau in balanced_assignments(8)]
+        values = [imbalance_recompute(g, tau) for tau in balanced_assignments(8)]
         assert res.min_i2 == min(values)
         assert res.argmin_count == values.count(min(values))
 
@@ -57,7 +57,7 @@ class TestExactExpectation:
     def test_half_b_is_uniform_average(self):
         g = gen_er(ErParams(8, 0.4), seed=5)
         exact = exact_policy_expectation(g, DesignConfig(RANDOM))
-        values = [imbalance_recompute(g, tau, 8) for tau in balanced_assignments(8)]
+        values = [imbalance_recompute(g, tau) for tau in balanced_assignments(8)]
         assert exact.expected_i2 == pytest.approx(float(np.mean(values)))
 
     def test_complete_graph_zero_for_any_b(self):

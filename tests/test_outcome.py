@@ -114,7 +114,7 @@ class TestAnalyticVariance:
         tau = balanced_tau(n)
         lo_g = complete_graph(n)
         hi_g = identity_graph(n)
-        assert imbalance_recompute(lo_g, tau, n) < imbalance_recompute(hi_g, tau, n)
+        assert imbalance_recompute(lo_g, tau) < imbalance_recompute(hi_g, tau)
         assert analytic_variance(lo_g, tau, params) < analytic_variance(hi_g, tau, params)
 
     def test_matches_monte_carlo(self):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,97 +58,48 @@ class DesignConfig:
         return 0.5 if self.policy == RANDOM else float(self.b)
 
 
-@dataclass
-class DesignState:
-    """State after ``pairs`` completed pairs: sign prefix, S prefix, I^2.
+def increment_from_view(rows: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A dense pair's ``(y, z1, z2)`` from its ``rows``, as :meth:`RevealedView.pair_rows` yields them.
 
-    Buffers are preallocated to the even part of n; the valid prefix has
-    length 2 * pairs.  Confined to a single run; not thread-safe.
+    ``y`` is the new-column difference over the prefix, ``z1``/``z2`` the
+    inner products of the two new row prefixes with the sign prefix ``tau``.
     """
-
-    pairs: int
-    s_buf: np.ndarray
-    tau_buf: np.ndarray
-    i2: float
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.s_buf[: 2 * self.pairs]
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.tau_buf[: 2 * self.pairs]
-
-
-class PairIncrement(NamedTuple):
-    """Quantities read from the two newly revealed rows of a dense graph over the prefix.
-
-    ``y`` is the new-column difference over the whole prefix
-    (:meth:`RevealedView.pair_rows`), ``z1``/``z2`` the inner products
-    of the two new row prefixes with the sign prefix, and ``e`` the
-    self-weight minus the entry joining the two new subjects.
-    """
-
-    y: np.ndarray
-    z1: float
-    z2: float
-    e: float
-
-
-def increment_from_view(rows: np.ndarray, e: float, state: DesignState) -> PairIncrement:
-    """The next pair's increment from its ``rows`` and ``e``, as :meth:`RevealedView.pair_rows` yields them."""
     block = rows.astype(np.float64)
-    z1, z2 = (block @ state.tau).tolist()
-    return PairIncrement(block[1] - block[0], z1, z2, e)
+    z1, z2 = (block @ tau).tolist()
+    return block[1] - block[0], z1, z2
 
 
-def candidate_imbalances(state: DesignState, inc: PairIncrement) -> tuple[float, float]:
-    """Exact squared imbalances of the two candidate assignments, in O(m).
+def candidate_imbalances(i2: float, s: np.ndarray, y: np.ndarray, z1: float, z2: float, e: float):
+    """Exact squared imbalances (i2_01, i2_10) of treatments (0,1) and (1,0) on the new pair, in O(m).
 
-    Returns (i2_01, i2_10) for treatments (0,1) and (1,0) on the new pair.
+    ``i2`` and ``s`` are the prefix's I^2 and S, ``y``, ``z1`` and ``z2`` the
+    pair's increment and ``e`` its self-weight minus the entry joining it.
     Equals a full recomputation of the squared imbalance over the extended
     prefix, integer-exactly for binary graphs.
     """
-    s = state.s
-    if inc.y.shape != s.shape:
-        raise ContractError(
-            f"increment of length {inc.y.shape[0]} does not match prefix {2 * state.pairs}"
-        )
-    sy = float(s @ inc.y)
-    base = state.i2 + float(inc.y @ inc.y)
-    e = inc.e
-    i2_01 = base - 2.0 * sy + (inc.z1 + e) ** 2 + (inc.z2 - e) ** 2
-    i2_10 = base + 2.0 * sy + (inc.z1 - e) ** 2 + (inc.z2 + e) ** 2
+    if y.shape != s.shape:
+        raise ContractError(f"increment of length {y.shape[0]} does not match prefix {s.shape[0]}")
+    sy = float(s @ y)
+    base = i2 + float(y @ y)
+    i2_01 = base - 2.0 * sy + (z1 + e) ** 2 + (z2 - e) ** 2
+    i2_10 = base + 2.0 * sy + (z1 - e) ** 2 + (z2 + e) ** 2
     return i2_01, i2_10
 
 
-def step(state: DesignState, inc: PairIncrement, cfg: DesignConfig, u: float) -> DesignState:
-    """Apply the biased coin to the candidate pair and extend the state.
+def step(i2_01: float, i2_10: float, b: float, u: float) -> float:
+    """The biased coin on a pair's candidates: sigma, +1.0 for (0, 1) and -1.0 for (1, 0).
 
-    ``u`` is the pair's uniform.  The strictly smaller candidate wins with
-    probability b, the larger with 1 - b, exact ties fall to a fair coin: the
-    pair gets (0, 1) when ``u`` is below 1/2 - (b - 1/2) sign(i2_01 - i2_10).
-    Ties are detected by exact comparison (integer-exact for binary graphs;
-    no tolerance for weighted ones, where ties have measure zero and an
-    epsilon would change the procedure's law).  The pair gets signs
-    (sigma, -sigma), and the update is DECISIONS.md D3's, as in
-    :func:`run_design_many`.
+    ``u`` is the pair's uniform and ``b`` is ``DesignConfig.effective_b``.
+    The strictly smaller candidate wins with probability b, the larger with
+    1 - b, exact ties fall to a fair coin: the pair gets (0, 1) when ``u`` is
+    below 1/2 - (b - 1/2) sign(i2_01 - i2_10).  Ties are detected by exact
+    comparison (integer-exact for binary graphs; no tolerance for weighted
+    ones, where ties have measure zero and an epsilon would change the
+    procedure's law).
     """
-    i2_01, i2_10 = candidate_imbalances(state, inc)
     # P(pair gets (0,1)) = 1/2 - (b - 1/2) sign(i2_01 - i2_10): b, 1 - b or 1/2, exactly.
     sign = (i2_01 > i2_10) - (i2_01 < i2_10)
-    sigma = 1.0 if u < 0.5 - (cfg.effective_b - 0.5) * sign else -1.0
-    length = 2 * state.pairs
-    # s -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
-    s = state.s
-    (np.subtract if sigma > 0 else np.add)(s, inc.y, out=s)
-    state.s_buf[length] = inc.z1 + inc.e * sigma
-    state.s_buf[length + 1] = inc.z2 - inc.e * sigma
-    state.tau_buf[length] = sigma
-    state.tau_buf[length + 1] = -sigma
-    state.i2 = i2_01 if sigma > 0 else i2_10
-    state.pairs += 1
-    return state
+    return 1.0 if u < 0.5 - (b - 0.5) * sign else -1.0
 
 
 @dataclass(frozen=True)
@@ -175,36 +125,52 @@ def run_design(g: Graph | CsrGraph, cfg: DesignConfig, *, rng=None) -> DesignRes
     ``rng.random(pairs)`` block before the first pair, pair m reading its
     m-th uniform, then one ``rng.random()`` for an odd trailing subject; a
     numpy ``Generator`` gives the doubles of one ``rng.random()`` per pair.
-    A ``CsrGraph`` runs :func:`_run_on_lists`, with the same draws and results.
+    A dense ``Graph`` runs :func:`_run_on_rows` and a ``CsrGraph``
+    :func:`_run_on_lists`, with the same draws and results.
     """
     n = g.n
     if n < 2:
         raise ParameterError("design needs at least 2 subjects")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    view = RevealedView(g)
-    pairs = n // 2
-    draws = rng.random(pairs).tolist()
-    if isinstance(g, CsrGraph):
-        paired, trajectory = _run_on_lists(view, draws, cfg)
-        return DesignResult(_all_signs(paired, n, rng), trajectory, trajectory[-1].item())
-    state = DesignState(0, np.zeros(2 * pairs), np.zeros(2 * pairs), 0.0)
-    traj = np.empty(pairs, dtype=np.float64)
-    # The first pair has an empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
-    for m, (u, (rows, e)) in enumerate(zip(draws, view.pair_rows())):
-        inc = increment_from_view(rows, e, state)
-        step(state, inc, cfg, u)
-        traj[m] = state.i2
-    trajectory = _i2_result(g, traj)
-    return DesignResult(_all_signs(state.tau_buf, n, rng), trajectory, trajectory[-1].item())
+    loop = _run_on_lists if isinstance(g, CsrGraph) else _run_on_rows
+    paired, trajectory = loop(RevealedView(g), rng.random(n // 2).tolist(), cfg)
+    return DesignResult(_all_signs(paired, n, rng), trajectory, trajectory[-1].item())
+
+
+def _run_on_rows(view: RevealedView, draws: list[float], cfg: DesignConfig):
+    """``run_design``'s loop on a dense ``Graph`` in float64: paired signs, and I^2s as ``_i2_result``'s.
+
+    Pair m reads the uniform ``draws[m]`` and calls :func:`increment_from_view`,
+    :func:`candidate_imbalances` and :func:`step` once each; the update is
+    DECISIONS.md D3's, as in :func:`run_design_many`.  The first pair has an
+    empty prefix: both candidates are 2 e^2, so its coin is the fair tie.
+    """
+    b = cfg.effective_b
+    pairs = len(draws)
+    s, tau, traj = np.zeros(2 * pairs), np.zeros(2 * pairs), array("d")
+    i2 = 0.0
+    for length, u, (rows, e) in zip(range(0, 2 * pairs, 2), draws, view.pair_rows()):
+        prefix = s[:length]
+        y, z1, z2 = increment_from_view(rows, tau[:length])
+        i2_01, i2_10 = candidate_imbalances(i2, prefix, y, z1, z2, e)
+        sigma = step(i2_01, i2_10, b, u)
+        # s -= sigma * y, in place: sigma * y is y or -y exactly, and x - (-y) is x + y.
+        (np.subtract if sigma > 0 else np.add)(prefix, y, out=prefix)
+        s[length], s[length + 1] = z1 + e * sigma, z2 - e * sigma
+        tau[length], tau[length + 1] = sigma, -sigma
+        i2 = i2_01 if sigma > 0 else i2_10
+        traj.append(i2)
+    return tau, _i2_result(view.graph, np.array(traj, dtype=np.float64))
 
 
 def _run_on_lists(view: RevealedView, draws: list[float], cfg: DesignConfig):
     """``run_design``'s loop on neighbour lists in exact Python ints: paired signs, int64 I^2s.
 
-    Pair m reads the uniform ``draws[m]``.  A pair's prefix neighbours come
-    split by side (:meth:`RevealedView.pair_sides`), so y is -1, +1 or 0 on
-    them; the coin and update are ``run_design_many``'s.
+    :func:`_run_on_rows`' rule, signature and result.  Pair m reads the
+    uniform ``draws[m]``.  A pair's prefix neighbours come split by side
+    (:meth:`RevealedView.pair_sides`), so y is -1, +1 or 0 on them; the coin
+    and update are ``run_design_many``'s.
     """
     bias = cfg.effective_b - 0.5
     pairs = len(draws)

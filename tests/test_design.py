@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from netrand import (
     run_design,
     run_design_many,
 )
-from netrand.design import DesignState, candidate_imbalances, increment_from_view, step
+from netrand.design import candidate_imbalances, increment_from_view, step
 
 from helpers import complete_graph, identity_graph
 
@@ -112,86 +115,87 @@ def pair_rows(g, m):
     return next(islice(RevealedView(g).pair_rows(), m, None))
 
 
-def empty_state(n):
-    """The all-zero state ``run_design`` starts from: no pair assigned yet."""
-    n2 = n - n % 2
-    return DesignState(0, np.zeros(n2), np.zeros(n2), 0.0)
+def state_after(g, uniforms, cfg=DesignConfig()):
+    """(I^2, S, signs) after ``len(uniforms)`` pairs, from ``run_design`` on g's leading subjects.
+
+    S is the dense A tau over those subjects, not the loop's own.
+    """
+    k = 2 * len(uniforms)
+    if k == 0:
+        return 0.0, np.zeros(0), np.zeros(0)
+    lead = g.matrix[:k, :k]
+    res = run_design(Graph(lead), cfg, rng=Replay(uniforms))
+    tau = res.tau.astype(np.float64)
+    return res.final_i2, lead.astype(np.float64) @ tau, tau
 
 
-def first_step(g, rng, cfg=DesignConfig(), view=None):
-    """State after the first ``step``: pair (0, 1) decided over the empty prefix."""
-    st_ = empty_state(g.n)
-    walk = (RevealedView(g) if view is None else view).pair_rows()
-    return step(st_, increment_from_view(*next(walk), st_), cfg, rng.random())
+def candidates_after(g, uniforms, cfg=DesignConfig()):
+    """``candidate_imbalances`` of pair ``len(uniforms)`` on the state after the pairs before it."""
+    i2, s, tau = state_after(g, uniforms, cfg)
+    rows, e = pair_rows(g, len(uniforms))
+    return candidate_imbalances(i2, s, *increment_from_view(rows, tau), e)
+
+
+def first_pair(g, u, cfg=DesignConfig()):
+    """``run_design`` on g's first two subjects, with uniform ``u``."""
+    return run_design(Graph(g.matrix[:2, :2]), cfg, rng=Replay([u]))
 
 
 class TestFirstPair:
     def test_connected_pair_cancels(self):
-        st_ = first_step(pair_graph(1), Replay([0.3]))
-        assert st_.i2 == 0
+        assert first_pair(pair_graph(1), 0.3).final_i2 == 0
 
     def test_disconnected_pair(self):
-        st_ = first_step(pair_graph(0), Replay([0.3]))
-        assert st_.i2 == 2
+        assert first_pair(pair_graph(0), 0.3).final_i2 == 2
 
     def test_weighted_pair(self):
         w = 0.37
-        st_ = first_step(weighted_pair_graph(w), Replay([0.9]))
-        assert st_.i2 == pytest.approx(2 * (1 - w) ** 2)
+        assert first_pair(weighted_pair_graph(w), 0.9).final_i2 == pytest.approx(2 * (1 - w) ** 2)
 
     def test_fair_coin_on_orientation(self):
         # the empty prefix makes both candidates 2 e^2, so even b = 1 leaves a fair coin
         g = pair_graph(0)
-        st_ = empty_state(2)
-        assert candidate_imbalances(st_, increment_from_view(*pair_rows(g, 0), st_)) == (2.0, 2.0)
+        assert candidates_after(g, []) == (2.0, 2.0)
         cfg = DesignConfig(ADAPTIVE, b=1.0)
-        lo = first_step(g, Replay([0.49]), cfg)
-        hi = first_step(g, Replay([0.51]), cfg)
-        assert lo.tau[0] == 1.0 and hi.tau[0] == -1.0
+        lo = first_pair(g, 0.49, cfg)
+        hi = first_pair(g, 0.51, cfg)
+        assert lo.tau[0] == 1 and hi.tau[0] == -1
 
     def test_requires_revealed_prefix(self):
-        # the first pair cannot be read from a view that has read past it
+        # the dense loop cannot read the first pair from a view that has read past it
         g = complete_graph(4)
         view = RevealedView(g)
         view.matvec(np.ones(4))
         with pytest.raises(ContractError):
-            first_step(g, Replay([0.1]), view=view)
+            design._run_on_rows(view, [0.1, 0.1], DesignConfig())
 
 
 class TestCandidates:
     def test_complete_graph_ties_at_zero(self):
-        g = complete_graph(6)
-        st_ = first_step(g, Replay([0.1]))
-        inc = increment_from_view(*pair_rows(g, 1), st_)
-        assert candidate_imbalances(st_, inc) == (0.0, 0.0)
+        assert candidates_after(complete_graph(6), [0.1]) == (0.0, 0.0)
 
     def test_identity_graph_ties(self):
-        g = identity_graph(6)
-        st_ = first_step(g, Replay([0.1]))
-        inc = increment_from_view(*pair_rows(g, 1), st_)
-        i2_01, i2_10 = candidate_imbalances(st_, inc)
-        assert i2_01 == i2_10 == 2 * st_.pairs + 2
+        i2_01, i2_10 = candidates_after(identity_graph(6), [0.1])
+        assert i2_01 == i2_10 == 2 * 1 + 2
 
     def test_matches_dense_recompute_both_choices(self):
         for seed in range(25):
             g = gen_er(ErParams(6, 0.5), seed=seed)
-            rng = np.random.default_rng(seed)
-            st_ = first_step(g, rng)
-            inc = increment_from_view(*pair_rows(g, 1), st_)
-            i2_01, i2_10 = candidate_imbalances(st_, inc)
-            tau01 = np.concatenate([st_.tau, [1.0, -1.0]])
-            tau10 = np.concatenate([st_.tau, [-1.0, 1.0]])
+            u = [np.random.default_rng(seed).random()]
+            i2_01, i2_10 = candidates_after(g, u)
+            tau = state_after(g, u)[2]
+            tau01 = np.concatenate([tau, [1.0, -1.0]])
+            tau10 = np.concatenate([tau, [-1.0, 1.0]])
             assert int(i2_01) == imbalance_recompute(g, tau01)
             assert int(i2_10) == imbalance_recompute(g, tau10)
 
     def test_dimension_mismatch_rejected(self):
         # y must have one entry per prefix column
         g = gen_er(ErParams(8, 0.5), seed=0)
-        st_ = first_step(g, Replay([0.1]))
+        i2, s, _ = state_after(g, [0.1])
         for width in (4, 3, 1):
-            bad = design.PairIncrement(y=np.zeros(width), z1=0.0, z2=0.0, e=1.0)
             with pytest.raises(ContractError):
-                candidate_imbalances(st_, bad)
+                candidate_imbalances(i2, s, np.zeros(width), 0.0, 0.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,26 +203,25 @@ class TestCandidates:
 def test_increment_identity_z2_minus_z1(pairs, seed):
     # z2 - z1 must equal the sign prefix dotted with the column difference
     g = gen_er(ErParams(2 * pairs + 2, 0.3), seed=seed)
-    rng = np.random.default_rng(seed)
-    st_ = empty_state(g.n)
+    u = np.random.default_rng(seed).random(g.n // 2).tolist()
     cfg = DesignConfig(ADAPTIVE, b=0.8)
-    for rows, e in RevealedView(g).pair_rows():
-        inc = increment_from_view(rows, e, st_)
-        assert inc.z2 - inc.z1 == pytest.approx(float(st_.tau @ inc.y))
-        step(st_, inc, cfg, rng.random())
+    for m, (rows, _) in enumerate(RevealedView(g).pair_rows()):
+        tau = state_after(g, u[:m], cfg)[2]
+        y, z1, z2 = increment_from_view(rows, tau)
+        assert z2 - z1 == pytest.approx(float(tau @ y))
 
 
 class TestStep:
     def test_b_one_takes_smaller_with_certainty(self):
+        cfg = DesignConfig(ADAPTIVE, b=1.0)
         for seed in range(20):
             g = gen_er(ErParams(10, 0.4), seed=seed)
-            rng = np.random.default_rng(seed)
-            st_ = first_step(g, rng)
-            inc = increment_from_view(*pair_rows(g, 1), st_)
-            i2_01, i2_10 = candidate_imbalances(st_, inc)
-            step(st_, inc, DesignConfig(ADAPTIVE, b=1.0), rng.random())
+            u = np.random.default_rng(seed).random(2).tolist()
+            i2_01, i2_10 = candidates_after(g, u[:1])
+            res = run_design(Graph(g.matrix[:4, :4]), cfg, rng=Replay(u))
+            assert step(i2_01, i2_10, 1.0, u[1]) == res.tau[2]
             if i2_01 != i2_10:
-                assert st_.i2 == min(i2_01, i2_10)
+                assert res.final_i2 == min(i2_01, i2_10)
 
     @pytest.mark.parametrize("b", [0.95, 0.85])
     def test_uniform_equal_to_the_probability_loses(self, b):
@@ -237,19 +240,17 @@ class TestStep:
             (0.75, (2.0, 10.0), b, -1.0),
         ]
         for first, candidates, u, sign in cases:
-            st_ = first_step(g, Replay([first]), cfg)
-            inc = increment_from_view(*pair_rows(g, 1), st_)
-            assert candidate_imbalances(st_, inc) == candidates
-            step(st_, inc, cfg, u)
-            assert st_.tau[2:].tolist() == [sign, -sign]
-            assert st_.i2 == candidates[0 if sign > 0 else 1]
+            assert candidates_after(g, [first], cfg) == candidates
+            assert step(*candidates, b, u) == sign
+            res = run_design(g, cfg, rng=Replay([first, u]))
+            assert res.tau[2:].tolist() == [sign, -sign]
+            assert res.final_i2 == candidates[0 if sign > 0 else 1]
         # ties, at the first pair and at a later one, compare the uniform with 1/2
-        assert first_step(g, Replay([0.5]), cfg).tau.tolist() == [-1.0, 1.0]
+        assert first_pair(g, 0.5, cfg).tau.tolist() == [-1, 1]
         tied = complete_graph(4)
-        st_ = first_step(tied, Replay([0.25]), cfg)
-        inc = increment_from_view(*pair_rows(tied, 1), st_)
-        assert candidate_imbalances(st_, inc) == (0.0, 0.0)
-        assert step(st_, inc, cfg, 0.5).tau[2:].tolist() == [-1.0, 1.0]
+        assert candidates_after(tied, [0.25], cfg) == (0.0, 0.0)
+        assert step(0.0, 0.0, b, 0.5) == -1.0
+        assert run_design(tied, cfg, rng=Replay([0.25, 0.5])).tau[2:].tolist() == [-1, 1]
 
     def test_half_b_equals_random_policy(self):
         g = gen_er(ErParams(40, 0.3), seed=1)
@@ -382,17 +383,50 @@ def test_incremental_exactness_property(pairs, p, policy, seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 50_000))
 def test_maintained_s_matches_dense_recompute(pairs, seed):
-    # the maintained signed row-sum prefix equals A^(2m) tau entrywise
+    # At every pair, the candidates on the dense S = A^(2m) tau give the loop's next I^2 for
+    # the sign it chose, so a wrong S update in the loop changes a later trajectory entry.
     g = gen_er(ErParams(2 * pairs, 0.4), seed=seed)
     cfg = DesignConfig(ADAPTIVE, b=0.9)
-    rng = np.random.default_rng(seed)
-    st_ = empty_state(g.n)
-    for rows, e in RevealedView(g).pair_rows():
-        step(st_, increment_from_view(rows, e, st_), cfg, rng.random())
-        k = 2 * st_.pairs
-        dense = g.matrix[:k, :k].astype(np.float64) @ st_.tau
-        assert np.array_equal(st_.s, dense)
-        assert st_.i2 == float(dense @ dense)
+    u = np.random.default_rng(seed).random(pairs).tolist()
+    res = run_design(g, cfg, rng=Replay(u))
+    for m in range(pairs):
+        i2, s, tau = state_after(g, u[:m], cfg)
+        assert np.array_equal(tau, res.tau[:2 * m])
+        assert i2 == float(s @ s)
+        rows, e = pair_rows(g, m)
+        i2_01, i2_10 = candidate_imbalances(i2, s, *increment_from_view(rows, tau), e)
+        sigma = step(i2_01, i2_10, 0.9, u[m])
+        assert sigma == res.tau[2 * m]
+        assert res.i2_trajectory[m] == (i2_01 if sigma > 0 else i2_10)
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps each (module, attribute) of its SPANS by name.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.SPANS:
+        assert callable(getattr(importlib.import_module(f"netrand.{module}"), attr)), (module, attr)
+
+
+def test_dense_loop_calls_each_traced_function_once_per_pair(monkeypatch):
+    names = ("increment_from_view", "candidate_imbalances", "step")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(design, name, counting(name, getattr(design, name)))
+    dense = gen_er(ErParams(10, 0.5), seed=0)
+    run_design(dense, DesignConfig(ADAPTIVE, seed=0))
+    assert calls == dict.fromkeys(names, 5)
+    run_design(csr_from_edges(10, *upper_edges(dense)), DesignConfig(ADAPTIVE, seed=0))
+    assert calls == dict.fromkeys(names, 5)
 
 
 @settings(max_examples=40, deadline=None)

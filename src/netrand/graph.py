@@ -21,8 +21,10 @@ import numpy as np
 
 from .errors import EdgeListParseError, ContractError, ParameterError
 
-# Nodes of a dense matrix (1 GiB as uint8); checked before one is built.  It also keeps
-# every binary design quantity on a dense graph exact in float64: I^2 <= n^3 < 2^53.
+# Nodes of a dense matrix (1 GiB as uint8); checked before one is built.  A sweep holds
+# one such matrix at a time, beside buffers of O(n) (DECISIONS.md D4, "One matrix per
+# replicate").  The cap also keeps every binary design quantity on a dense graph exact
+# in float64: I^2 <= n^3 < 2^53.
 _MAX_DENSE_NODES = 32768
 # float64 holds every integer below 2^53 exactly; designs on neighbour lists are held
 # below it by check_exact_bound.
@@ -34,9 +36,10 @@ _CHUNK_ROWS = 128
 # Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
 # DECISIONS.md D4 has the measurements behind it.
 _TILE = 512
-# Draws per block of generated rows: at most 8 MiB of doubles, even at the dense cap
-# (DECISIONS.md D4, "Block draws").
-_DRAW_BLOCK = 1 << 20
+# Draws per block of generated rows: 512 KiB of doubles, which stay in cache while their
+# rows are written.  Under the dense cap every row fits in one block (DECISIONS.md D4,
+# "Block draws").
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Graph:
             if not (np.diagonal(m) == 1).all():
                 raise ParameterError("binary adjacency must have unit diagonal")
         elif m.dtype == np.float64:
-            if not np.isfinite(m).all():
+            if not _all_finite(m):
                 raise ParameterError("weighted adjacency must be finite")
             diag = np.diagonal(m)
             if m.shape[0] and (diag != diag[0]).any():
@@ -93,6 +96,12 @@ def _upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
 def _is_symmetric(m: np.ndarray) -> bool:
     """``m == m.T``, compared one tile pair at a time; stops at the first mismatch."""
     return all(np.array_equal(m[r, c], m[c, r].T) for r, c in _upper_tiles(m.shape[0]))
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    """``np.isfinite(m).all()``, one band of rows of about a tile's entries at a time."""
+    band = max(1, _TILE * _TILE // max(m.shape[1], 1))
+    return all(np.isfinite(m[i:i + band]).all() for i in range(0, m.shape[0], band))
 
 
 def check_dense_size(n: int) -> None:
@@ -413,6 +422,7 @@ def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:
             stop = start + n - r - 1
             a[r, r + 1:] = block[start:stop] if row is None else row(r, block[start:stop])
             start = stop
+        del block  # so that one block is alive while the next is drawn
         i = j
     _mirror_upper(a)
     np.fill_diagonal(a, diag)

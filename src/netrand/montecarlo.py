@@ -318,6 +318,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         density=dens,
                     )
                 )
+            # Freed before make() draws the next graph: a sweep holds one n x n matrix at a time.
+            del g
     return ExperimentResult(rows=tuple(rows), summaries=summarize(rows))
 
 

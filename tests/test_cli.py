@@ -112,6 +112,14 @@ GOLDEN = {
             "out.summary.csv": "294a166bf43981a51821c967856c07f90e43ddeb5ddff532a29498af8011a667",
         },
     ),
+    # 79800 normal draws, two blocks of graph._DRAW_BLOCK: pins the weighted stream across a block
+    "simulate-goe-400": (
+        ["simulate", "--model", "goe", "--n", "400", "--sigma2", "0.2", *OUTCOME_FLAGS],
+        {
+            "out.csv": "091e4feddaca67a5960bb8f97e6d3a8a637a88dc94f96951a33620946700b460",
+            "out.summary.csv": "c45cba02b9df62e3609a7ee86ea9e90df6fce4e65d79443be9f103f9c201c5f1",
+        },
+    ),
     "oracle": (
         ["oracle", "--n", "10", "--p", "0.4", "--mc-reps", "2000"],
         {"stdout": "f125cdfe8c77bf4ba907d174880f833f29304739b33aa9dbf377d5a8e9c9fa1c"},

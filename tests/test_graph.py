@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -847,6 +848,30 @@ class TestGraphType:
             Graph(m)
         m[j, i] = 1
         assert Graph(m).n == self.TILED_N
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [
+        (TILED_N - 1, TILED_N - 1),    # diagonal, in the last band of rows
+        (TILED_N - 1, 3),              # off the diagonal, in the last band
+        (3, TILED_N - 1),              # the same pair, in the first band
+        (_TILE, _TILE + 1),            # off the diagonal, in a middle band
+    ])
+    def test_non_finite_weight_rejected_in_every_band(self, bad, i, j):
+        m = np.eye(self.TILED_N)
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(ParameterError, match="weighted adjacency must be finite"):
+            Graph(m)
+
+    def test_weighted_validation_builds_no_square_temporary(self):
+        # np.isfinite(m) alone would be n^2 bools, 1/8 of the matrix.
+        m = gen_goe(GoeParams(1024, 0.2), seed=3).matrix.copy()
+        tracemalloc.start()
+        try:
+            Graph(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.nbytes / 16
 
     def test_tiny_weighted_asymmetry_rejected(self):
         m = np.eye(self.TILED_N)

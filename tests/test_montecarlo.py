@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +277,48 @@ class TestRunExperiment:
         summaries = run_experiment(spec).summaries
         means = [s.mean_two_i_over_n for s in sorted(summaries, key=lambda s: s.n)]
         assert means[0] > means[1] > means[2]
+
+
+class TestSweepMemory:
+    """A dense sweep holds one n x n matrix at a time, beside buffers of O(n) (DECISIONS.md D4)."""
+
+    OUTCOME = OutcomeParams(1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("model, n, params, itemsize, ratio", [
+        ("er", 2048, {"p": 0.05}, 1, 2.0),
+        ("goe", 1024, {"sigma2": 0.2}, 8, 1.5),
+    ])
+    def test_traced_peak_is_about_one_matrix(self, model, n, params, itemsize, ratio):
+        # Both policies, outcomes on: the draw, the designs and the outcome mat-vec all run.
+        spec = ExperimentSpec(model, (n,), reps=3, seed=5, outcome=self.OUTCOME, **params)
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            run_experiment(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * n * n * itemsize, f"peak {peak / (n * n * itemsize):.2f} matrices"
+
+    @pytest.mark.parametrize("model", ["er", "goe", "real"])
+    def test_each_graph_freed_before_the_next_is_drawn(self, monkeypatch, model):
+        name = {"er": "gen_er", "goe": "gen_goe", "real": "induced_subgraph_sample"}[model]
+        draw = getattr(graph, name)
+        drawn = []
+
+        def make(*args):
+            alive = [i for i, ref in enumerate(drawn) if ref() is not None]
+            assert not alive, f"graphs {alive} still alive when graph {len(drawn)} is drawn"
+            g = draw(*args)
+            drawn.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(graph, name, make)
+        params = {"er": {"p": 0.3}, "goe": {"sigma2": 0.2},
+                  "real": {"sample_source": from_edge_list([f"{i} {i + 1}" for i in range(59)])}}
+        spec = ExperimentSpec(model, (20, 30), reps=3, seed=5, outcome=self.OUTCOME, **params[model])
+        run_experiment(spec)
+        assert len(drawn) == 6
 
 
 class TestSummaries:

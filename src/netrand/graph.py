@@ -100,7 +100,7 @@ def _is_symmetric(m: np.ndarray) -> bool:
 
 def _all_finite(m: np.ndarray) -> bool:
     """``np.isfinite(m).all()``, one band of rows of about a tile's entries at a time."""
-    band = max(1, _TILE * _TILE // max(m.shape[1], 1))
+    band = max(1, _TILE * _TILE // max(m.shape[0], 1))
     return all(np.isfinite(m[i:i + band]).all() for i in range(0, m.shape[0], band))
 
 
@@ -422,7 +422,7 @@ def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:
             stop = start + n - r - 1
             a[r, r + 1:] = block[start:stop] if row is None else row(r, block[start:stop])
             start = stop
-        del block  # so that one block is alive while the next is drawn
+        del block  # freed before the next block is drawn
         i = j
     _mirror_upper(a)
     np.fill_diagonal(a, diag)

@@ -112,7 +112,7 @@ GOLDEN = {
             "out.summary.csv": "294a166bf43981a51821c967856c07f90e43ddeb5ddff532a29498af8011a667",
         },
     ),
-    # 79800 normal draws, two blocks of graph._DRAW_BLOCK: pins the weighted stream across a block
+    # 79800 normal draws in two blocks of graph._DRAW_BLOCK: pins the weighted stream across a block boundary
     "simulate-goe-400": (
         ["simulate", "--model", "goe", "--n", "400", "--sigma2", "0.2", *OUTCOME_FLAGS],
         {

@@ -32,6 +32,8 @@ from .graph import CsrGraph, Graph, RevealedView, check_exact_bound
 
 ADAPTIVE = "adaptive"
 RANDOM = "random"
+# A pair's two signs, (sigma, -sigma), as the column that multiplies sigma.
+_PAIR_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -328,20 +330,24 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     # Subject-major: row j holds subject j's entry of S and its sign in every replicate.
     s = np.zeros((n2, reps), dtype=np.float64)
     tau = np.zeros((n2, reps), dtype=np.float64)
+    # Pair m's two rows of each, as one (2, reps) view per pair.
+    pair_s, pair_tau = s.reshape(-1, 2, reps), tau.reshape(-1, 2, reps)
     # Dense pairs come with their nonzero columns only, so a pair costs O(|N| reps), not O(L reps).
-    for length, k_m, (cols, block, y, e) in zip(range(0, n2, 2), k, RevealedView(g).pair_blocks()):
+    for k_m, new_s, new_tau, (cols, rows, y, e) in zip(k, pair_s, pair_tau, RevealedView(g).pair_blocks()):
         if cols.size:
-            z = block @ tau[cols]
-            s_n = s[cols]
+            # z0, z1 and e (z0 - z1) in one product.
+            p = rows @ tau.take(cols, axis=0)
+            s_n = s.take(cols, axis=0)
             # d / 2: halving is exact, so its sign is d's.
-            sgn = np.sign(k_m - 2.0 * np.sign(e * (z[0] - z[1]) - y @ s_n))
-            s_n -= np.multiply.outer(y, sgn)
+            sgn = np.sign(k_m - 2.0 * np.sign(p[2] - y @ s_n))
+            s_n -= y[:, None] * sgn
             s[cols] = s_n
+            np.multiply(_PAIR_SIGNS, sgn, out=new_tau)
+            np.multiply(new_tau, e, out=new_s)
+            new_s += p[:2]
         else:
             # No prefix neighbours, as for the first pair: d = 0 and the coin is the fair one.
-            sgn = np.sign(k_m, dtype=np.float64)
-            z = 0.0
-        tau[length] = sgn
-        np.negative(sgn, out=tau[length + 1])
-        s[length:length + 2] = z + e * tau[length:length + 2]
+            np.multiply(_PAIR_SIGNS, k_m, out=new_tau)
+            np.sign(new_tau, out=new_tau)
+            np.multiply(new_tau, e, out=new_s)
     return _i2_result(g, np.einsum("ij,ij->j", s, s))

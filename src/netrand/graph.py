@@ -216,10 +216,11 @@ class RevealedView:
 
     def __init__(self, graph: Graph | CsrGraph):
         self.graph = graph
+        self._n = graph.n
         self._revealed = 0
 
     def reveal_to(self, k: int) -> None:
-        if k < self._revealed or k > self.graph.n:
+        if k < self._revealed or k > self._n:
             raise ContractError(f"cannot reveal prefix {k} (currently {self._revealed})")
         self._revealed = k
 
@@ -239,24 +240,24 @@ class RevealedView:
             yield rows[:, :length], float(rows[0, length]) - float(rows[0, length + 1])
 
     def pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
-        """Every pair's prefix read in order, one per ``next``: ``(cols, block, y, e)``.
+        """Every pair's prefix read in order, one per ``next``: ``(cols, rows, y, e)``.
 
         ``cols`` are the prefix columns where either of the pair's rows is
-        nonzero, ``block`` the two rows' float64 entries there,
-        ``y = block[1] - block[0]`` and ``e`` the self-weight minus the entry
-        joining the two.  A dense ``Graph``'s pairs come from ``pair_rows``; on
-        a ``CsrGraph`` the tuples are slices of float64 tables built once per call.
+        nonzero, ``e`` the self-weight minus the entry joining the two,
+        ``y = rows[1] - rows[0]`` and ``rows`` a 3 x |cols| float64 block: the
+        two rows' entries at ``cols``, then ``-e * y``.  So ``rows @ tau[cols]``
+        gives z0, z1 and e (z0 - z1) in one product.  On a dense ``Graph`` the
+        block is built per pair from ``pair_rows``; on a ``CsrGraph`` the
+        tuples are slices of float64 tables built once per call.
         """
         g = self.graph
         if isinstance(g, Graph):
             for rows, e in self.pair_rows():
                 cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
-                block = rows[:, cols].astype(np.float64)
-                yield cols, block, block[1] - block[0], e
+                yield cols, *_pair_block(rows[:, cols], e), e
             return
         ptr, cols, vals, e = _pair_lists(g)
-        blocks = vals.astype(np.float64)
-        ys = blocks[1] - blocks[0]
+        blocks, ys = _pair_block(vals, np.repeat(e, np.diff(ptr)))
         ptr = ptr.tolist()
         for length, lo, hi, e_m in zip(count(0, 2), ptr, islice(ptr, 1, None), e.tolist()):
             self.reveal_to(length + 2)
@@ -319,6 +320,18 @@ class RevealedView:
             i1 = min(i0 + _CHUNK_ROWS, k)
             out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64, copy=False) @ v
         return out
+
+
+def _pair_block(vals: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_blocks``' 3 x m float64 block of two rows ``vals`` and ``-e * y``, and ``y``.
+
+    ``y = vals[1] - vals[0]``; ``e`` is a scalar or one value per column.
+    """
+    block = np.empty((3, vals.shape[1]))
+    block[:2] = vals
+    y = np.subtract(block[1], block[0])
+    np.multiply(y, -e, out=block[2])
+    return block, y
 
 
 def _pair_lists(g: CsrGraph):

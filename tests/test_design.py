@@ -704,6 +704,32 @@ def test_batched_finals_on_a_neighbour_list_sample():
     assert reduction_report(g, b=0.85, reps=12, seed=17).reduction == 0.22377918516779582
 
 
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (gen_er(ErParams(40, 0.3), seed=3), {
+            (0.85, 1): [230], (0.85, 7): [162, 254, 198, 262, 234, 214, 202],
+            (1.0, 1): [186], (1.0, 7): [186, 146, 146, 238, 186, 186, 146],
+        }),
+        (gen_er(ErParams(41, 0.3), seed=3), {
+            (0.85, 1): [354], (0.85, 7): [278, 222, 274, 214, 242, 274, 166],
+            (1.0, 1): [242], (1.0, 7): [242, 234, 274, 166, 242, 166, 166],
+        }),
+        (gen_sbm(SbmParams(41, 0.5, 0.1), seed=4), {
+            (0.85, 1): [178], (0.85, 7): [142, 142, 278, 134, 106, 186, 174],
+            (1.0, 1): [106], (1.0, 7): [106, 106, 106, 106, 106, 154, 106],
+        }),
+    ],
+    ids=["er40", "er41", "sbm41"],
+)
+def test_batched_finals_on_dense_graphs_at_few_replicates(g, expected):
+    # Values of the kernel with a two-row product and separate sign writes, before its
+    # rows came as one three-row block.
+    for (b, reps), finals in expected.items():
+        got = run_design_many(g, DesignConfig(ADAPTIVE, b), reps, rng=np.random.default_rng(17))
+        assert got.dtype == np.int64 and got.tolist() == finals
+
+
 @pytest.mark.parametrize("policy", [ADAPTIVE, RANDOM])
 def test_batched_kernel_checks_the_exactness_bound_before_drawing(monkeypatch, policy):
     # a 6-node path: its bound, the sum of (d + 1)^2 over all six nodes, is 44

@@ -719,7 +719,7 @@ class TestRevealedView:
             else:
                 rows = np.zeros((2, 2 * m))
                 if read == "pair_blocks":
-                    rows[:, pair[0]] = pair[1]
+                    rows[:, pair[0]] = pair[1][:2]
                 else:
                     first, second, both = map(list, pair[:3])
                     rows[0, first + both] = rows[1, second + both] = 1
@@ -775,16 +775,18 @@ class TestRevealedView:
         stores = [g] if g.weighted else [g, csr_of(g)]
         for h in stores:
             view, reads = RevealedView(h), 0
-            for m, (cols, block, y, e) in enumerate(view.pair_blocks()):
+            for m, (cols, rows, y, e) in enumerate(view.pair_blocks()):
                 assert view._revealed == 2 * m + 2
                 # the dense prefix rows, with the columns zero in both dropped
                 vals = g.matrix[2 * m:2 * m + 2, :2 * m]
                 want_e = float(g.matrix[2 * m, 2 * m]) - float(g.matrix[2 * m, 2 * m + 1])
                 want_cols = np.flatnonzero((vals != 0).any(axis=0))
                 assert cols.dtype.kind == "i" and np.array_equal(cols, want_cols)
-                assert block.dtype == y.dtype == np.float64
-                assert np.array_equal(block, vals[:, want_cols].astype(np.float64))
-                assert np.array_equal(y, block[1] - block[0])
+                assert rows.dtype == y.dtype == np.float64 and rows.shape == (3, cols.size)
+                assert np.array_equal(rows[:2], vals[:, want_cols].astype(np.float64))
+                assert np.array_equal(y, rows[1] - rows[0])
+                # the third row gives e (z0 - z1) in the product with the signs
+                assert np.array_equal(rows[2], -e * y)
                 assert type(e) is float and e == want_e
                 reads += 1
             assert reads == h.n // 2
@@ -796,8 +798,8 @@ class TestRevealedView:
             reads = list(RevealedView(h).pair_blocks())
             assert [r[0].tolist() for r in reads] == [[], [], [0], []]
             assert [r[3] for r in reads] == [0.0, 0.0, 1.0, 1.0]
-            assert reads[0][1].shape == (2, 0) and reads[0][2].shape == (0,)
-            assert reads[2][1].tolist() == [[1.0], [0.0]] and reads[2][2].tolist() == [-1.0]
+            assert reads[0][1].shape == (3, 0) and reads[0][2].shape == (0,)
+            assert reads[2][1].tolist() == [[1.0], [0.0], [1.0]] and reads[2][2].tolist() == [-1.0]
 
 
 class TestGraphType:

@@ -117,9 +117,12 @@ def _check_outputs(edges, *paths) -> None:
             raise PermissionError(f"output directory {str(parent)!r} is not writable")
 
 
-def _parse_n_values(entries) -> tuple[int, ...]:
-    """Sweep sizes from repeatable entries: an integer or an inclusive start:stop:step."""
-    values: list[int] = []
+def _parse_n_values(entries, check_size=None) -> tuple[int, ...]:
+    """Sweep sizes from repeatable entries: an integer or an inclusive start:stop:step.
+
+    ``check_size``, when given, checks each entry's largest size before any range is built.
+    """
+    ranges: list[range] = []
     for entry in entries:
         parts = entry.split(":")
         if len(parts) not in (1, 3):
@@ -132,8 +135,11 @@ def _parse_n_values(entries) -> tuple[int, ...]:
         start, stop, step_ = numbers if len(numbers) == 3 else numbers * 2 + [1]
         if step_ <= 0 or stop < start:
             raise ParameterError(f"bad range {entry!r}")
-        values.extend(range(start, stop + 1, step_))
-    return tuple(values)
+        ranges.append(range(start, stop + 1, step_))
+    if check_size is not None:
+        for sizes in ranges:
+            check_size(sizes[-1])
+    return tuple(n for sizes in ranges for n in sizes)
 
 
 def cmd_simulate(args) -> int:
@@ -152,7 +158,7 @@ def cmd_simulate(args) -> int:
         outcome = OutcomeParams(args.mu0, args.mu1, args.sigma_z, args.sigma_eps)
     spec = ExperimentSpec(
         model=args.model,
-        n_values=_parse_n_values(args.n),
+        n_values=_parse_n_values(args.n, graphmod.check_dense_size),
         policies=policies,
         b=args.b,
         p=args.p,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .graph import CsrGraph, Graph, RevealedView, check_exact_bound
+from .graph import CsrGraph, Graph, RevealedView, check_exact_bound, matvec
 
 ADAPTIVE = "adaptive"
 RANDOM = "random"
@@ -263,10 +263,10 @@ def imbalance_recompute(g: Graph | CsrGraph, tau):
 
     Reference checker for the incremental path, and the fair-coin arms' one
     recompute: the squared norm of A^(k) tau for k = ``len(tau)``, or of each
-    column of a (k, r) block of signs.  Returns an int for binary graphs
-    (int64 per column of a block); a sign vector is multiplied in integers
-    (:meth:`RevealedView.matvec`), so it is exact with no float copy of a
-    dense matrix.
+    column of a (k, r) block of signs, through :func:`graph.matvec`.  Returns
+    an int for binary graphs (int64 per column of a block): every row sum is
+    an integer below 2^53, held exactly in float64 and cast to int64 before
+    the dot (DECISIONS.md D3, "The exact recompute").
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim not in (1, 2):
@@ -275,11 +275,11 @@ def imbalance_recompute(g: Graph | CsrGraph, tau):
         raise ParameterError(f"{tau.shape[0]} signs invalid for n={g.n}")
     if not np.isin(tau, (-1.0, 1.0)).all():
         raise ParameterError("signs must be +1 or -1")
-    view = RevealedView(g)
+    s = matvec(g, tau)
     if tau.ndim == 1:
-        s = view.matvec(tau if g.weighted else tau.astype(np.int8))
+        if not g.weighted:
+            s = s.astype(np.int64)
         return (s @ s).item()
-    s = view.matvec(tau)
     return _i2_result(g, (s * s).sum(axis=0))
 
 

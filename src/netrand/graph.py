@@ -4,9 +4,10 @@ Graphs are immutable after construction and safe to share across threads.
 Generated graphs are a dense ``Graph``: binary adjacency as a uint8 matrix
 (unit diagonal), weighted adjacency as float64.  Edge lists are read into a
 ``CsrGraph`` of sorted neighbour lists, O(n + |E|), and induced samples of
-one stay neighbour lists.  Designs and outcome simulation read either form
-only through ``RevealedView``, whose every read reveals exactly the subjects
-it reads, so a design on neighbour lists never builds an n x n matrix.
+one stay neighbour lists.  Designs read either form through ``RevealedView``,
+whose every read reveals exactly the subjects it reads, and whole-prefix
+products go through ``matvec``; neither builds an n x n matrix from neighbour
+lists.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ _MAX_DENSE_NODES = 32768
 _EXACT_LIMIT = 2**53
 # Row-block size of the float mat-vec.  Fixed, so its sums and the outcome W stay
 # reproducible; with 128 rows OpenBLAS gave the same sums under 1, 2 and 4 threads,
-# and 2048 did not (DECISIONS.md D4, "Why `matvec` takes 128-row chunks").
+# and 2048 did not (DECISIONS.md D4, "Why `graph.matvec` takes 128-row chunks").
 _CHUNK_ROWS = 128
 # Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
 # DECISIONS.md D4 has the measurements behind it.
@@ -207,11 +208,11 @@ class RevealedView:
     The sequential design only observes connections among subjects that have
     already arrived.  A view starts with nothing revealed, and every read
     reveals exactly the subjects it reads, through ``reveal_to``: each pair
-    walk reveals 2m + 2 before it yields pair m, and ``matvec(v)`` reveals
-    ``len(v)``.  A read that would shrink the prefix, or pass n, raises
-    ContractError.  Each walk serves one loop: ``pair_rows`` a dense
-    ``Graph``'s numpy loop, ``pair_sides`` a ``CsrGraph``'s Python integer
-    loop, and ``pair_blocks`` the batched kernel on either storage.
+    walk reveals 2m + 2 before it yields pair m.  A read that would shrink
+    the prefix, or pass n, raises ContractError.  Each walk serves one loop:
+    ``pair_rows`` a dense ``Graph``'s numpy loop, ``pair_sides`` a
+    ``CsrGraph``'s Python integer loop, and ``pair_blocks`` the batched
+    kernel on either storage.
     """
 
     def __init__(self, graph: Graph | CsrGraph):
@@ -284,42 +285,30 @@ class RevealedView:
             self.reveal_to(length + 2)
             yield c0[a0:b0], c1[a1:b1], c2[a2:b2], e_m
 
-    def matvec(self, v) -> np.ndarray:
-        """The first k subjects' submatrix times ``v``, a length-k vector or a (k, r) block of columns.
 
-        Reveals k = ``len(v)`` subjects.  A float ``v`` is multiplied in
-        float64.  A dense ``Graph`` is converted in row chunks; on a
-        ``CsrGraph`` each subject adds the entries of ``v`` at its neighbours
-        in the prefix, one column at a time.  An int8 vector on a binary graph
-        is multiplied exactly and returned as int64; a dense matrix is then
-        read as it is, with no float copy.
-        """
-        g = self.graph
-        v = np.asarray(v)
-        if v.ndim not in (1, 2):
-            raise ContractError(f"matvec takes a vector or a block of columns, got shape {v.shape}")
-        k = v.shape[0]
-        self.reveal_to(k)
-        exact = v.dtype == np.int8 and v.ndim == 1 and not g.weighted
-        if not exact:
-            v = v.astype(np.float64, copy=False)
-        if isinstance(g, CsrGraph):
-            rows, cols = g._rows(np.arange(k)), g.indices[:g.indptr[k]]
-            inside = cols < k
-            rows, cols = rows[inside], cols[inside]
-            if v.ndim == 2:
-                return np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in v.T], axis=1)
-            out = v + np.bincount(rows, weights=v[cols], minlength=k)
-            return out.astype(np.int64) if exact else out
-        if exact:
-            # int32 sums cannot overflow (k * 128 < 2^31 under the dense cap), and no float
-            # copy of the matrix is made (DECISIONS.md D3, "The exact recompute").
-            return np.einsum("ij,j->i", g.matrix[:k, :k], v.astype(np.int32)).astype(np.int64)
-        out = np.empty(v.shape, dtype=np.float64)
-        for i0 in range(0, k, _CHUNK_ROWS):
-            i1 = min(i0 + _CHUNK_ROWS, k)
-            out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64, copy=False) @ v
-        return out
+def matvec(g: Graph | CsrGraph, v) -> np.ndarray:
+    """The first k nodes' submatrix of ``g`` times ``v``, a length-k vector or a (k, r) block, in float64.
+
+    A dense ``Graph`` is converted in row chunks; on a ``CsrGraph`` each node
+    adds the entries of ``v`` at its neighbours in the prefix, one column at a
+    time.  Nothing is revealed: designs read their pairs through ``RevealedView``.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[0] > g.n:
+        raise ContractError(f"matvec takes a vector or block of at most {g.n} rows, got shape {v.shape}")
+    k = v.shape[0]
+    if isinstance(g, CsrGraph):
+        rows, cols = g._rows(np.arange(k)), g.indices[:g.indptr[k]]
+        inside = cols < k
+        rows, cols = rows[inside], cols[inside]
+        block = v if v.ndim == 2 else v[:, None]
+        out = np.stack([c + np.bincount(rows, weights=c[cols], minlength=k) for c in block.T], axis=1)
+        return out.reshape(v.shape)
+    out = np.empty(v.shape)
+    for i0 in range(0, k, _CHUNK_ROWS):
+        i1 = min(i0 + _CHUNK_ROWS, k)
+        out[i0:i1] = g.matrix[i0:i1, :k].astype(np.float64, copy=False) @ v
+    return out
 
 
 def _pair_block(vals: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import CsrGraph, Graph, RevealedView
+from .graph import CsrGraph, Graph, matvec
 from .design import imbalance_recompute
 
 
@@ -62,7 +62,7 @@ def simulate_outcomes(g: Graph | CsrGraph, tau, params: OutcomeParams, rng) -> T
     z = rng.normal(0.0, params.sigma_z, n)
     eps = rng.normal(0.0, params.sigma_eps, n)
     effects = np.where(tau > 0, params.mu0, params.mu1)
-    x = effects + RevealedView(g).matvec(z) + eps
+    x = effects + matvec(g, z) + eps
     paired_n = n - (n % 2)
     w = 2.0 / paired_n * float(tau[:paired_n] @ x[:paired_n])
     return TrialOutcome(x=x, w=w)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,19 @@ class TestRejectedBeforeWork:
         assert "is odd" in err and "even" in err
         assert "allow_odd" not in err
 
+
+    def test_oversized_size_range_exits_2_before_it_is_expanded(self, tmp_path, capsys, no_work):
+        # two million sizes would take hundreds of MB as a tuple of ints
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--model", "er", "--n", "2:4000000:2", "--p", "0.2",
+                       "--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "4000000 nodes exceed the dense-storage limit of 32768" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("case", [
         "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",

@@ -1,0 +1,73 @@
+"""Every citation of the decisions ledger in the code, the tests and the README names a real entry.
+
+A citation is ``DECISIONS.md Dn`` (more sections may follow, joined by "and"),
+optionally followed by ``, "Title"``.  Dn must head a ``## Dn.`` section of
+DECISIONS.md, and a quoted title must be a ``**Title.**`` subsection inside
+that section.  Citations may wrap across lines of a comment or docstring.
+"""
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CITATION = re.compile(r'DECISIONS\.md (D\d+)((?: and D\d+)*)(?:, "([^"]+)")?')
+
+
+def _unwrapped(text):
+    """``text`` with each line break, and the indent or ``#`` comment mark after it, as one space."""
+    return re.sub(r"\s*\n\s*(?:#+\s*)?", " ", text)
+
+
+def ledger_sections(text):
+    """Section number -> the subsection titles inside it, from the ledger's text."""
+    parts = re.split(r"^## (D\d+)\.", text, flags=re.MULTILINE)
+    return {
+        number: set(re.findall(r"\*\*([^*]+?)\.\*\*", _unwrapped(body)))
+        for number, body in zip(parts[1::2], parts[2::2])
+    }
+
+
+def citations(text):
+    """``(section, title or None)`` for each citation in ``text``, one per section named."""
+    for match in CITATION.finditer(_unwrapped(text)):
+        first, more, title = match.groups()
+        yield first, title
+        yield from ((number, None) for number in re.findall(r"D\d+", more))
+
+
+def bad_citations(sections, text):
+    return [
+        (number, title) for number, title in citations(text)
+        if number not in sections or (title is not None and title not in sections[number])
+    ]
+
+
+def cited_files():
+    return [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").rglob("*.py")), ROOT / "README.md"]
+
+
+def test_ledger_has_numbered_sections_with_titles():
+    sections = ledger_sections((ROOT / "DECISIONS.md").read_text(encoding="utf-8"))
+    assert {"D1", "D3", "D4", "D5"} <= sections.keys()
+    assert "The exact recompute" in sections["D3"]
+
+
+def test_citations_read_across_wrapped_lines():
+    ledger = "DECISIONS.md"  # spelled apart, so the scan of this file does not read the sample
+    text = f'# rows ({ledger} D4, "One matrix per\n# replicate") and\n    {ledger} D4 and D5;\n'
+    assert list(citations(text)) == [("D4", "One matrix per replicate"), ("D4", None), ("D5", None)]
+    sections = {"D4": {"One matrix per replicate"}}
+    assert bad_citations(sections, text) == [("D5", None)]
+    assert bad_citations(sections, text.replace("matrix per", "matrix for")) == [
+        ("D4", "One matrix for replicate"), ("D5", None)]
+
+
+def test_every_citation_names_an_existing_section_and_subsection():
+    sections = ledger_sections((ROOT / "DECISIONS.md").read_text(encoding="utf-8"))
+    found, bad = 0, {}
+    for path in cited_files():
+        text = path.read_text(encoding="utf-8")
+        found += len(list(citations(text)))
+        if wrong := bad_citations(sections, text):
+            bad[str(path.relative_to(ROOT))] = wrong
+    assert found >= 10  # the scan reads the files it is meant to read
+    assert not bad

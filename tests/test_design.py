@@ -165,7 +165,7 @@ class TestFirstPair:
         # the dense loop cannot read the first pair from a view that has read past it
         g = complete_graph(4)
         view = RevealedView(g)
-        view.matvec(np.ones(4))
+        view.reveal_to(4)
         with pytest.raises(ContractError):
             design._run_on_rows(view, [0.1, 0.1], DesignConfig())
 

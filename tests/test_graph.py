@@ -315,24 +315,6 @@ class TestCsrGraph:
         assert s.labels == tuple(str(i) for i in idx.tolist())
         assert np.array_equal(s.matrix, np.abs(idx[:, None] - idx[None, :]) <= 1)
 
-    def test_matvec_restricted_to_prefix(self):
-        g = gen_er(ErParams(23, 0.3), seed=5)
-        v = np.arange(1.0, 24.0)
-        for k in (0, 1, 10, 23):
-            got = RevealedView(csr_of(g)).matvec(v[:k])
-            assert np.array_equal(got, g.matrix[:k, :k].astype(np.float64) @ v[:k])
-
-    def test_matvec_of_a_block_and_of_int8_signs(self):
-        g = gen_er(ErParams(23, 0.3), seed=5)
-        signs = np.where(np.random.default_rng(6).random((23, 4)) < 0.5, 1.0, -1.0)
-        for h in (g, csr_of(g)):
-            for k in (1, 10, 23):
-                view, a = RevealedView(h), g.matrix[:k, :k]
-                assert np.array_equal(view.matvec(signs[:k]), a.astype(np.float64) @ signs[:k])
-                got = view.matvec(signs[:k, 0].astype(np.int8))
-                assert got.dtype == np.int64
-                assert np.array_equal(got, a.astype(np.int64) @ signs[:k, 0].astype(np.int64))
-
     def test_density_counts_stored_entries(self):
         g = gen_er(ErParams(40, 0.2), seed=1)
         assert density(csr_of(g)) == density(g) == int(np.triu(g.matrix, 1).sum()) / (40 * 39 / 2)
@@ -684,27 +666,48 @@ class TestDensity:
             density(gen_goe(GoeParams(5, 1.0), seed=0))
 
 
+class TestMatvec:
+    # n = 300 spans three 128-row chunks of a dense matrix
+    GRAPHS = {
+        "dense": gen_er(ErParams(300, 0.3), seed=5),
+        "weighted": gen_goe(GoeParams(300, 0.5), seed=3),
+    }
+    GRAPHS["lists"] = csr_of(GRAPHS["dense"])
+
+    @pytest.mark.parametrize("k", [0, 1, 129, 300])
+    @pytest.mark.parametrize("values", ["float", "integer"])
+    @pytest.mark.parametrize("shape", ["vector", "block"])
+    @pytest.mark.parametrize("storage", ["dense", "weighted", "lists"])
+    def test_matches_dense_reference(self, storage, shape, values, k):
+        g = self.GRAPHS[storage]
+        rng = np.random.default_rng(7)
+        size = (k,) if shape == "vector" else (k, 4)
+        v = rng.normal(size=size) if values == "float" else rng.integers(-3, 4, size=size, dtype=np.int8)
+        got = graph.matvec(g, v)
+        assert got.dtype == np.float64 and got.shape == v.shape
+        a = g.matrix[:k, :k]
+        if values == "integer" and not g.weighted:
+            # integer-valued sums are exact in float64, whatever the order of summation
+            assert np.array_equal(got, a.astype(np.int64) @ v.astype(np.int64))
+        else:
+            assert np.allclose(got, a.astype(np.float64) @ v, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "lists"])
+    def test_rejects_other_shapes_and_more_rows_than_nodes(self, storage):
+        g = self.GRAPHS[storage]
+        for v in (np.ones((4, 2, 2)), np.ones(301), np.ones((301, 2))):
+            with pytest.raises(ContractError):
+                graph.matvec(g, v)
+
+
 class TestRevealedView:
     @pytest.mark.parametrize("storage", ["dense", "lists"])
-    @pytest.mark.parametrize("read", ["pair_rows", "pair_sides", "pair_blocks", "matvec"])
+    @pytest.mark.parametrize("read", ["pair_rows", "pair_sides", "pair_blocks"])
     def test_each_read_reveals_exactly_what_it_reads(self, read, storage):
         g = gen_er(ErParams(11, 0.5), seed=0)
         h = g if storage == "dense" else csr_of(g)
         view = RevealedView(h)
         assert view._revealed == 0
-        if read == "matvec":
-            for k in (0, 3, 4, 4, 11):
-                got = view.matvec(np.ones(k))
-                assert view._revealed == k
-                assert np.array_equal(got, g.matrix[:k, :k].sum(axis=1))
-            for k in (12, 10):  # past n, then shorter than the prefix read
-                with pytest.raises(ContractError):
-                    view.matvec(np.ones(k))
-            view = RevealedView(h)
-            view.matvec(np.ones(4))
-            with pytest.raises(ContractError):  # a walk cannot start behind a longer read
-                next(view.pair_blocks())
-            return
         if (read, storage) in (("pair_rows", "lists"), ("pair_sides", "dense")):
             # each scalar loop's walk reads one storage
             with pytest.raises(ContractError):
@@ -726,18 +729,13 @@ class TestRevealedView:
             assert np.array_equal(rows, g.matrix[2 * m:2 * m + 2, :2 * m])
             assert pair[-1] == 1 - g.matrix[2 * m, 2 * m + 1]
         assert m == 4 and view._revealed == 10
-        # a second walk, or a shorter matvec, after the walk
+        # a second walk after the walk, a shorter reveal, or one past n
         with pytest.raises(ContractError):
             next(getattr(view, read)())
-        with pytest.raises(ContractError):
-            view.matvec(np.ones(9))
+        for k in (9, 12):
+            with pytest.raises(ContractError):
+                view.reveal_to(k)
         assert view._revealed == 10
-
-    def test_matvec_is_prefix_product(self):
-        g = gen_goe(GoeParams(9, 0.5), seed=3)
-        v = np.linspace(-1.0, 1.0, 6)
-        view = RevealedView(g)
-        assert np.allclose(view.matvec(v), g.matrix[:6, :6] @ v)
 
     @pytest.mark.parametrize(
         "g",

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import EdgeListParseError, ParameterError
 from . import graph as graphmod
 from .graph import ErParams
 from .design import ADAPTIVE, RANDOM, DesignConfig, run_design, run_design_many
-from .montecarlo import ExperimentSpec, relative_reduction, run_experiment
+from .montecarlo import ExperimentSpec, check_sample_size, relative_reduction, run_experiment
 from .outcome import OutcomeParams
 from . import oracle as oraclemod
 
@@ -117,11 +118,8 @@ def _check_outputs(edges, *paths) -> None:
             raise PermissionError(f"output directory {str(parent)!r} is not writable")
 
 
-def _parse_n_values(entries, check_size=None) -> tuple[int, ...]:
-    """Sweep sizes from repeatable entries: an integer or an inclusive start:stop:step.
-
-    ``check_size``, when given, checks each entry's largest size before any range is built.
-    """
+def _parse_ranges(entries) -> list[range]:
+    """Sweep sizes from repeatable entries, an integer or an inclusive start:stop:step, as ranges."""
     ranges: list[range] = []
     for entry in entries:
         parts = entry.split(":")
@@ -136,9 +134,13 @@ def _parse_n_values(entries, check_size=None) -> tuple[int, ...]:
         if step_ <= 0 or stop < start:
             raise ParameterError(f"bad range {entry!r}")
         ranges.append(range(start, stop + 1, step_))
-    if check_size is not None:
-        for sizes in ranges:
-            check_size(sizes[-1])
+    return ranges
+
+
+def _expand(ranges, check_size) -> tuple[int, ...]:
+    """The ranges' sizes, built only after ``check_size`` has passed each range's largest."""
+    for sizes in ranges:
+        check_size(sizes[-1])
     return tuple(n for sizes in ranges for n in sizes)
 
 
@@ -158,7 +160,7 @@ def cmd_simulate(args) -> int:
         outcome = OutcomeParams(args.mu0, args.mu1, args.sigma_z, args.sigma_eps)
     spec = ExperimentSpec(
         model=args.model,
-        n_values=_parse_n_values(args.n, graphmod.check_dense_size),
+        n_values=_expand(_parse_ranges(args.n), graphmod.check_dense_size),
         policies=policies,
         b=args.b,
         p=args.p,
@@ -180,15 +182,21 @@ def cmd_real(args) -> int:
     """Fresh induced sample and arrival order per replicate, both policies."""
     summary_out = args.summary_out or _summary_path(args.out)
     _check_outputs(args.edges, args.out, summary_out)
+    ranges = _parse_ranges(args.sample or ["10000"])
+    # Checked before the list is read on each range's first two sizes, which hold the range's
+    # first odd size or size below 2, if any; the largest sizes wait for the list's node count.
     spec = ExperimentSpec(
         model="real",
-        n_values=_parse_n_values(args.sample or ["10000"]),
+        n_values=tuple(n for sizes in ranges for n in sizes[:2]),
         policies=(ADAPTIVE, RANDOM),
         b=args.b,
         reps=args.reps,
         seed=args.seed,
     )
-    result = run_experiment(replace(spec, sample_source=graphmod.from_edge_list(args.edges)))
+    source = graphmod.from_edge_list(args.edges)
+    spec = replace(spec, n_values=_expand(ranges, partial(check_sample_size, source)),
+                   sample_source=source)
+    result = run_experiment(spec)
     mean_i = {(s.n, s.policy): s.mean_i for s in result.summaries}
     summary_rows = []
     for k in spec.n_values:

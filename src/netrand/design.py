@@ -333,16 +333,19 @@ def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=No
     # Pair m's two rows of each, as one (2, reps) view per pair.
     pair_s, pair_tau = s.reshape(-1, 2, reps), tau.reshape(-1, 2, reps)
     # Dense pairs come with their nonzero columns only, so a pair costs O(|N| reps), not O(L reps).
+    # ndarray.dot reaches @'s BLAS routine without the matmul ufunc's dispatch, and a one-term
+    # product by +-1 is exact (DECISIONS.md D3, "Why the bytes are the same").
     for k_m, new_s, new_tau, (cols, rows, y, e) in zip(k, pair_s, pair_tau, RevealedView(g).pair_blocks()):
         if cols.size:
             # z0, z1 and e (z0 - z1) in one product.
-            p = rows @ tau.take(cols, axis=0)
+            p = rows.dot(tau.take(cols, axis=0))
             s_n = s.take(cols, axis=0)
             # d / 2: halving is exact, so its sign is d's.
-            sgn = np.sign(k_m - 2.0 * np.sign(p[2] - y @ s_n))
-            s_n -= y[:, None] * sgn
+            # sigma as a 1 x reps row, the right factor of the one-term products.
+            sgn = np.sign(k_m - 2.0 * np.sign(p[2] - y.dot(s_n)))[None]
+            s_n -= y[:, None].dot(sgn)
             s[cols] = s_n
-            np.multiply(_PAIR_SIGNS, sgn, out=new_tau)
+            _PAIR_SIGNS.dot(sgn, out=new_tau)
             np.multiply(new_tau, e, out=new_s)
             new_s += p[:2]
         else:

@@ -37,6 +37,8 @@ _CHUNK_ROWS = 128
 # Square tile of the O(n^2) passes over a dense matrix (symmetry check, mirroring);
 # DECISIONS.md D4 has the measurements behind it.
 _TILE = 512
+# Rows of a diagonal tile mirrored at once; numpy copies a strip's operand, not the tile.
+_STRIP = 64
 # Draws per block of generated rows: 512 KiB of doubles, which stay in cache while their
 # rows are written.  Under the dense cap every row fits in one block (DECISIONS.md D4,
 # "Block draws").
@@ -393,12 +395,15 @@ def _mirror_upper(a: np.ndarray) -> None:
     """Copy the strict upper triangle onto the lower one, tile by tile.
 
     The lower triangle and the diagonal must be zero: a diagonal tile then
-    adds its own transpose, which is zero wherever the tile is set.
+    adds its own transpose, which is zero wherever the tile is set, one strip
+    of rows at a time (DECISIONS.md D4, "Diagonal tiles").
     """
     for r, c in _upper_tiles(a.shape[0]):
         if r == c:
             block = a[r, c]
-            block += block.T
+            for i in range(0, block.shape[0], _STRIP):
+                j = i + _STRIP
+                block[i:j, :j] += block[:j, i:j].T
         else:
             a[c, r] = a[r, c].T
 

@@ -7,6 +7,7 @@ reproducible and independent of replicate execution order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -111,8 +112,9 @@ class ExperimentSpec:
         if not self.n_values:
             raise ParameterError("at least one n value required")
         for name, values in (("n values", self.n_values), ("policies", self.policies)):
-            if len(set(values)) < len(values):
-                raise ParameterError(f"{name} {list(values)} repeat an entry; each cell runs once")
+            repeated = [v for v, count in Counter(values).items() if count > 1]
+            if repeated:
+                raise ParameterError(f"{name} repeat {repeated[0]!r}; each cell runs once")
         for n in self.n_values:
             if n < 2:
                 raise ParameterError("all n values must be at least 2")
@@ -212,6 +214,12 @@ def replicate_streams(base_seed: int, cell: int, rep: int) -> list[np.random.See
     return root.spawn(4)
 
 
+def check_sample_size(source: CsrGraph, k: int) -> None:
+    """Reject a k-node sample of ``source``."""
+    if k > source.n:
+        raise ParameterError(f"sample size {k} exceeds graph size {source.n}")
+
+
 def _resolve_cell(spec: ExperimentSpec, n: int):
     """``(make, params)`` of the size-n cell; ``make(params, seed)`` draws one graph.
 
@@ -235,8 +243,7 @@ def _resolve_cell(spec: ExperimentSpec, n: int):
     source = spec.sample_source
     if not isinstance(source, CsrGraph):
         raise ParameterError("real model needs a CsrGraph source, such as from_edge_list gives")
-    if n > source.n:
-        raise ParameterError(f"sample size {n} exceeds graph size {source.n}")
+    check_sample_size(source, n)
     graphmod.check_exact_bound(source.degrees, n)
     return partial(graphmod.induced_subgraph_sample, source), n
 

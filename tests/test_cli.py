@@ -523,6 +523,23 @@ class TestRejectedBeforeWork:
         assert "4000000 nodes exceed the dense-storage limit of 32768" in capsys.readouterr().err
         assert peak < 1 << 20
 
+    def test_sample_range_past_the_list_exits_2_before_it_is_expanded(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # the list is read first, since only it knows its size; the range is never built
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\nc d\n")
+        tracemalloc.start()
+        try:
+            rc = main(["real", "--edges", str(edges), "--sample", "2:1000000000000:2",
+                       "--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "sample size 1000000000000 exceeds graph size 4" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("case", [
         "n-word", "n-range-word", "n-sweep-word", "real-b", "real-reps", "assign-b",
         "sparse-c-zero", "n-repeated", "n-ranges-overlap", "sample-repeated",

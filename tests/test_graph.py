@@ -889,3 +889,27 @@ class TestGraphType:
         expected = np.triu(a, 1) + np.triu(a, 1).T
         _mirror_upper(a)
         assert np.array_equal(a, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("n", [_TILE - 3, 2 * _TILE - 1, 2 * _TILE + 77])
+    def test_mirror_upper_strips_match_whole_tile_sums(self, dtype, n):
+        # 1, 2 and 3 tiles a side; the whole-tile form adds each diagonal tile's transpose at once
+        rng = np.random.default_rng(5)
+        upper = rng.integers(0, 2, (n, n)) if dtype == np.uint8 else rng.normal(size=(n, n))
+        a = np.triu(upper, 1).astype(dtype)
+        expected = a.copy()
+        for r, c in graph._upper_tiles(n):
+            if r == c:
+                block = expected[r, c]
+                block += block.T
+            else:
+                expected[c, r] = expected[r, c].T
+        tracemalloc.start()
+        try:
+            _mirror_upper(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.tobytes() == expected.tobytes()
+        # the whole-tile sum copies a diagonal tile, since its operands overlap
+        assert peak < min(n, _TILE) ** 2 * a.itemsize

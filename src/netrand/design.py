@@ -263,10 +263,11 @@ def imbalance_recompute(g: Graph | CsrGraph, tau):
 
     Reference checker for the incremental path, and the fair-coin arms' one
     recompute: the squared norm of A^(k) tau for k = ``len(tau)``, or of each
-    column of a (k, r) block of signs, through :func:`graph.matvec`.  Returns
-    an int for binary graphs (int64 per column of a block): every row sum is
-    an integer below 2^53, held exactly in float64 and cast to int64 before
-    the dot (DECISIONS.md D3, "The exact recompute").
+    column of a (k, r) block of signs, through :func:`graph.matvec`.  A vector
+    is read as a one-column block, and each column's squared norm is summed in
+    float64 as :func:`run_design_many` sums its finals.  Returns an int for
+    binary graphs (int64 per column of a block): every partial sum is an
+    integer below 2^53, held exactly (DECISIONS.md D3, "The exact recompute").
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim not in (1, 2):
@@ -275,12 +276,9 @@ def imbalance_recompute(g: Graph | CsrGraph, tau):
         raise ParameterError(f"{tau.shape[0]} signs invalid for n={g.n}")
     if not np.isin(tau, (-1.0, 1.0)).all():
         raise ParameterError("signs must be +1 or -1")
-    s = matvec(g, tau)
-    if tau.ndim == 1:
-        if not g.weighted:
-            s = s.astype(np.int64)
-        return (s @ s).item()
-    return _i2_result(g, (s * s).sum(axis=0))
+    s = matvec(g, tau if tau.ndim == 2 else tau[:, None])
+    i2 = _i2_result(g, np.einsum("ij,ij->j", s, s))
+    return i2 if tau.ndim == 2 else i2[0].item()
 
 
 def run_design_many(g: Graph | CsrGraph, cfg: DesignConfig, reps: int, *, rng=None) -> np.ndarray:

@@ -408,10 +408,10 @@ def _mirror_upper(a: np.ndarray) -> None:
             a[c, r] = a[r, c].T
 
 
-def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:
+def _symmetric(n: int, dtype, draw, row=None) -> np.ndarray:
     """Symmetric matrix whose strict upper triangle, read row by row, is drawn by ``draw``.
 
-    ``draw(k)`` returns the next k entries; it is called once per block of
+    The diagonal is 1.  ``draw(k)`` returns the next k entries; it is called once per block of
     whole rows holding at most ``_DRAW_BLOCK`` entries, and a longer row is a
     block of its own.  ``row(i, values)``, when given, maps row i's slice of
     its block to the row's entries.
@@ -432,7 +432,7 @@ def _symmetric(n: int, dtype, draw, diag, row=None) -> np.ndarray:
         del block  # freed before the next block is drawn
         i = j
     _mirror_upper(a)
-    np.fill_diagonal(a, diag)
+    np.fill_diagonal(a, 1)
     return a
 
 
@@ -440,7 +440,7 @@ def gen_er(params: ErParams, seed) -> Graph:
     """Erdos-Renyi adjacency: off-diagonal edges iid Bernoulli(p), unit diagonal."""
     n, p = params.n, params.p
     rng = np.random.default_rng(seed)
-    return Graph(_symmetric(n, np.uint8, lambda k: rng.random(k) < p, 1))
+    return Graph(_symmetric(n, np.uint8, lambda k: rng.random(k) < p))
 
 
 def gen_sbm(params: SbmParams, seed) -> Graph:
@@ -450,7 +450,7 @@ def gen_sbm(params: SbmParams, seed) -> Graph:
     labels = (rng.random(n) < 0.5).astype(np.int8)
     # rates[g, j]: the edge rate between a node of group g and node j.
     rates = np.where(labels == np.array([[0], [1]]), params.p_in, params.p_out)
-    return Graph(_symmetric(n, np.uint8, rng.random, 1,
+    return Graph(_symmetric(n, np.uint8, rng.random,
                             lambda i, u: u < rates[labels[i], i + 1:]))
 
 
@@ -459,7 +459,7 @@ def gen_goe(params: GoeParams, seed) -> Graph:
     n = params.n
     sigma = float(np.sqrt(params.sigma2))
     rng = np.random.default_rng(seed)
-    return Graph(_symmetric(n, np.float64, lambda k: rng.normal(0.0, sigma, k), 1.0))
+    return Graph(_symmetric(n, np.float64, lambda k: rng.normal(0.0, sigma, k)))
 
 
 def _decoded_lines(data: bytes) -> Iterator[str]:
@@ -481,8 +481,9 @@ def from_edge_list(source) -> CsrGraph:
     number of nodes is accepted: nothing dense is built here.
 
     A path whose data lines all hold two canonical decimal ids, SNAP's form,
-    is parsed by numpy (``_decimal_edges``); every other source, and every
-    error, goes through the line loop below.  Both give the same graph.
+    is parsed by numpy (``_decimal_edges``) unless an id is too large for
+    its sort keys; every other source, and every error, goes through the
+    line loop below.  Both give the same graph.
     """
     lines = source
     if isinstance(source, (str, Path)):
@@ -540,8 +541,8 @@ def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
     line loop parses the file and reports any error.
 
     First-appearance ids come from one sort of ``value << b | position``
-    keys, b the bit length of the token count, when every id is below
-    2^(63 - b); larger ids take an ``argsort`` of the values instead
+    keys, b the bit length of the token count.  A file with an id at or
+    above 2^(63 - b) returns None too, and the line loop parses it
     (DECISIONS.md D5).
     """
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
@@ -575,20 +576,16 @@ def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
     values = np.concatenate(blocks)
     size = values.size
     bits = size.bit_length()  # every position is below 2**bits
-    # Each value's positions as one group (``order`` over ``head``), and its first position.
     if values.max() >> (63 - bits):
-        # A key would pass 63 bits: argsort the values, and take each group's least position.
-        order = np.argsort(values)
-        head = np.flatnonzero(np.diff(values[order], prepend=-1))
-        first = np.minimum.reduceat(order, head)
-    else:
-        # One sort of value << bits | position keys: each group starts at its first position.
-        order = values << bits
-        order |= np.arange(size)
-        order.sort()
-        head = np.flatnonzero(np.diff(order >> bits, prepend=-1))
-        order &= (1 << bits) - 1
-        first = order[head]
+        return None  # a key would pass 63 bits: the line loop parses the file
+    # One sort of value << bits | position keys: each value's positions form a group
+    # (``order`` over ``head``) that starts at its first position.
+    order = values << bits
+    order |= np.arange(size)
+    order.sort()
+    head = np.flatnonzero(np.diff(order >> bits, prepend=-1))
+    order &= (1 << bits) - 1
+    first = order[head]
     first_seen = np.zeros(size, dtype=bool)
     first_seen[first] = True
     labels = tuple(map(str, values[first_seen].tolist()))

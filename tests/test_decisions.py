@@ -4,12 +4,18 @@ A citation is ``DECISIONS.md Dn`` (more sections may follow, joined by "and"),
 optionally followed by ``, "Title"``.  Dn must head a ``## Dn.`` section of
 DECISIONS.md, and a quoted title must be a ``**Title.**`` subsection inside
 that section.  Citations may wrap across lines of a comment or docstring.
+
+The ledger in turn cites tests by node id, ``tests/test_x.py::TestClass::test_name``
+(``bench/`` for the benchmark's tests, and a bare ``test_x.py`` for ``tests/``);
+each must name an existing file, class and function.
 """
+import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CITATION = re.compile(r'DECISIONS\.md (D\d+)((?: and D\d+)*)(?:, "([^"]+)")?')
+NODE_ID = re.compile(r"`((?:tests/|bench/)?test_\w+\.py)::(\w+(?:::\w+)*)")
 
 
 def _unwrapped(text):
@@ -39,6 +45,22 @@ def bad_citations(sections, text):
         (number, title) for number, title in citations(text)
         if number not in sections or (title is not None and title not in sections[number])
     ]
+
+
+def missing_test_nodes(text):
+    """The test node ids in ``text`` whose file, class or function does not exist."""
+    missing = []
+    for path, names in NODE_ID.findall(text):
+        file = ROOT / (path if "/" in path else f"tests/{path}")
+        scope = ast.parse(file.read_text(encoding="utf-8")).body if file.is_file() else []
+        for name in names.split("::"):
+            node = next((n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                         and n.name == name), None)
+            if node is None:
+                missing.append(f"{path}::{names}")
+                break
+            scope = node.body
+    return missing
 
 
 def cited_files():
@@ -71,3 +93,19 @@ def test_every_citation_names_an_existing_section_and_subsection():
             bad[str(path.relative_to(ROOT))] = wrong
     assert found >= 10  # the scan reads the files it is meant to read
     assert not bad
+
+
+def test_node_id_check_finds_a_renamed_test():
+    cited = ("`tests/test_decisions.py::test_ledger_has_numbered_sections_with_titles`"
+             " and `test_decisions.py::bad_citations`")
+    assert missing_test_nodes(cited) == []
+    renamed = cited.replace("with_titles", "and_titles")
+    assert missing_test_nodes(renamed) == ["tests/test_decisions.py::test_ledger_has_numbered_sections_and_titles"]
+    assert missing_test_nodes("`bench/test_nothing.py::test_x` `test_decisions.py::Absent::test_x`") == [
+        "bench/test_nothing.py::test_x", "test_decisions.py::Absent::test_x"]
+
+
+def test_every_cited_test_node_exists():
+    text = (ROOT / "DECISIONS.md").read_text(encoding="utf-8")
+    assert len(set(NODE_ID.findall(text))) >= 12  # the scan reads the ledger's node ids
+    assert not missing_test_nodes(text)

@@ -357,6 +357,20 @@ class TestRecompute:
         scaled = imbalance_recompute(Graph(g.matrix * 3.0), tau)
         assert scaled == pytest.approx(9.0 * base)
 
+    @pytest.mark.parametrize("kind", ["binary", "goe", "lists"])
+    def test_vector_equals_its_one_column_block(self, kind):
+        """A sign vector's I^2 is its one-column block's, in value and in type."""
+        n = 301
+        dense = gen_goe(GoeParams(n, 0.2), seed=3) if kind == "goe" else gen_er(ErParams(n, 0.2), seed=3)
+        g = csr_from_edges(n, *upper_edges(dense)) if kind == "lists" else dense
+        rng = np.random.default_rng(7)
+        for k in (1, n // 2, n):
+            for _ in range(10):
+                tau = np.where(rng.random(k) < 0.5, 1.0, -1.0)
+                vector = imbalance_recompute(g, tau)
+                block = imbalance_recompute(g, tau[:, None])[0].item()
+                assert type(vector) is type(block) and vector == block
+
     def test_length_mismatch_rejected(self):
         g = gen_er(ErParams(6, 0.5), seed=0)
         with pytest.raises(ParameterError):

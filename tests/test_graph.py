@@ -534,23 +534,31 @@ class TestDecimalIdsAgainstLineLoop:
            large=st.lists(st.integers(10**18 - 50, 10**18 - 1), max_size=3),
            picks=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=4, max_size=40))
     @settings(max_examples=200, deadline=None)
-    def test_first_appearance_ids_equal_line_loop(self, small, large, picks):
-        """``_decimal_edges``' ends and labels are the loop's, by the key sort and by the fallback.
+    def test_first_appearance_ids_equal_line_loop(self, tmp_path_factory, small, large, picks):
+        """``_decimal_edges``' ends and labels are the loop's; ids too large for its keys take the loop.
 
         Ids are drawn from a few small values, and, when ``large`` is drawn, ids at
-        or above 2^(63 - b) for b the bit length of the token count, which take the
-        argsort fallback.  Picks repeat ids, join an id to itself and often show an
-        id first in the second column.
+        or above 2^(63 - b) for b the bit length of the token count, for which
+        ``_decimal_edges`` returns None and the path parses through the line loop.
+        Picks repeat ids, join an id to itself and often show an id first in the
+        second column.
         """
         ids = small + large
         lines = [f"{ids[u % len(ids)]} {ids[v % len(ids)]}\n" for u, v in picks]
         tokens = 2 * len(lines)
         used = {ids[k % len(ids)] for pick in picks for k in pick}
-        if any(i >= 10**18 - 50 for i in used):
-            assert max(used) >= 1 << (63 - tokens.bit_length())  # the fallback's condition
-        else:
-            assert max(used) < 1 << (63 - tokens.bit_length())  # the key sort's
         got = graph._decimal_edges("".join(lines).encode())
+        if any(i >= 10**18 - 50 for i in used):
+            assert max(used) >= 1 << (63 - tokens.bit_length())  # a key would pass 63 bits
+            assert got is None
+            path = tmp_path_factory.mktemp("edges") / "edges.txt"
+            path.write_text("".join(lines))
+            want = from_edge_list(lines)
+            g = from_edge_list(path)
+            assert g.labels == want.labels
+            assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+            return
+        assert max(used) < 1 << (63 - tokens.bit_length())  # the key sort's condition
         with mock.patch.object(graph, "_from_ends", lambda ends, labels: (ends.copy(), labels)):
             want_ends, want_labels = from_edge_list(lines)
         assert got is not None

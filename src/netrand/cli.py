@@ -198,12 +198,14 @@ def cmd_real(args) -> int:
                    sample_source=source)
     result = run_experiment(spec)
     mean_i = {(s.n, s.policy): s.mean_i for s in result.summaries}
+    densities = {}
+    for r in result.rows:
+        densities.setdefault(r.n, []).append(r.density)
     summary_rows = []
     for k in spec.n_values:
         a_mean, r_mean = mean_i[k, ADAPTIVE], mean_i[k, RANDOM]
         reduction, zero = relative_reduction(a_mean, r_mean)
-        mean_density = float(np.mean([r.density for r in result.rows if r.n == k]))
-        row = (k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), mean_density)
+        row = (k, args.reps, args.b, a_mean, r_mean, reduction, int(zero), float(np.mean(densities[k])))
         summary_rows.append(list(map(_fmt, row)))
     _write_csv(args.out, REAL_COLUMNS, _record_cells(REAL_COLUMNS, result.rows))
     _write_csv(summary_out, REAL_SUMMARY_COLUMNS, list(zip(*summary_rows)))

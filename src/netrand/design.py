@@ -169,33 +169,28 @@ def _run_on_rows(view: RevealedView, draws: list[float], cfg: DesignConfig):
 def _run_on_lists(view: RevealedView, draws: list[float], cfg: DesignConfig):
     """``run_design``'s loop on neighbour lists in exact Python ints: paired signs, int64 I^2s.
 
-    :func:`_run_on_rows`' rule, signature and result.  Pair m reads the
-    uniform ``draws[m]``.  A pair's prefix neighbours come split by side
-    (:meth:`RevealedView.pair_sides`), so y is -1, +1 or 0 on them; the coin
-    and update are ``run_design_many``'s.
+    :func:`_run_on_rows`' rule, signature and result, with ``run_design_many``'s coin and update.
+    Pair m reads ``draws[m]`` and :meth:`RevealedView.pair_sides`; a column in both of its rows
+    cancels in z1 - z2 and S . y, and its entry of S gains sigma and loses it again.
     """
     bias = cfg.effective_b - 0.5
     pairs = len(draws)
     s, tau, traj = [0] * (2 * pairs), [0] * (2 * pairs), array("q")
     s_at, tau_at = s.__getitem__, tau.__getitem__
     i2 = 0
-    for length, u, (first, second, both, e) in zip(range(0, 2 * pairs, 2), draws, view.pair_sides()):
-        z1 = sum(map(tau_at, first))
-        z2 = sum(map(tau_at, second))
-        if both:  # columns joined to both subjects are rare on sparse lists
-            z_both = sum(map(tau_at, both))
-            z1 += z_both
-            z2 += z_both
+    for length, u, (r0, r1, yy, e) in zip(range(0, 2 * pairs, 2), draws, view.pair_sides()):
+        z1 = sum(map(tau_at, r0))
+        z2 = sum(map(tau_at, r1))
         # The candidates are c + d for (0, 1) and c - d for (1, 0), so sign(d) is their comparison.
-        d = 2 * e * (z1 - z2) - 2 * (sum(map(s_at, second)) - sum(map(s_at, first)))
+        d = 2 * e * (z1 - z2) - 2 * (sum(map(s_at, r1)) - sum(map(s_at, r0)))
         sigma = 1 if u < 0.5 - bias * ((d > 0) - (d < 0)) else -1
-        for j in first:
+        for j in r0:
             s[j] += sigma
-        for j in second:
+        for j in r1:
             s[j] -= sigma
         s[length], s[length + 1] = z1 + e * sigma, z2 - e * sigma
         tau[length], tau[length + 1] = sigma, -sigma
-        i2 += len(first) + len(second) + 2 * e * e + z1 * z1 + z2 * z2 + sigma * d
+        i2 += yy + 2 * e * e + z1 * z1 + z2 * z2 + sigma * d
         traj.append(i2)
     return tau, np.array(traj, dtype=np.int64)
 

@@ -266,26 +266,31 @@ class RevealedView:
             self.reveal_to(length + 2)
             yield cols[lo:hi], blocks[:, lo:hi], ys[lo:hi], e_m
 
-    def pair_sides(self) -> Iterator[tuple[array, array, array, int]]:
-        """A ``CsrGraph``'s pairs in order, one per ``next``, their prefix neighbours split by row.
+    def pair_sides(self) -> Iterator[tuple[array, array, int, int]]:
+        """A ``CsrGraph``'s pairs in order, one per ``next``: ``(r0, r1, yy, e)``, from one O(|E|) pass.
 
-        Pair m yields its columns in [0, 2m) joined only to 2m, only to 2m + 1 and
-        to both, as slices of flat int64 ``array``s built in one pass, and e (the
-        unit self-weight minus the entry joining the two) as an int.
+        ``r0`` and ``r1``, subjects 2m's and 2m + 1's prefix neighbours (the start of their
+        sorted rows), are slices of one flat int64 ``array``; ``yy`` is y . y, and ``e`` is 1
+        minus the entry joining the two.
         """
         g = self.graph
         if not isinstance(g, CsrGraph):
             raise ContractError("pair_sides reads neighbour lists; read a dense Graph by pair_rows")
-        ptr, cols, vals, e = _pair_lists(g)
-        (o0, c0), (o1, c1), (o2, c2) = (
-            (array("q", np.concatenate([[0], np.cumsum(keep)])[ptr].tobytes()), array("q", cols[keep].tobytes()))
-            for keep in (vals[0] > vals[1], vals[1] > vals[0], vals.min(axis=0) > 0))
-        del ptr, cols, vals
-        # Each pair's bounds in the three tables, read in order rather than indexed by m.
-        bounds = zip(o0, islice(o0, 1, None), o1, islice(o1, 1, None), o2, islice(o2, 1, None))
-        for length, e_m, (a0, b0, a1, b1, a2, b2) in zip(count(0, 2), e.astype(np.int64).tolist(), bounds):
+        rows, cols = g._rows(np.arange(g.n)), g.indices
+        keep = cols < rows - rows % 2
+        ptr = np.concatenate([[0], np.cumsum(keep)])[g.indptr]
+        # Column j < 2m joins both of pair m exactly when j's sorted row holds 2m and 2m + 1 side by side.
+        lo = cols[:-1]
+        both = (lo % 2 == 0) & (cols[1:] == lo + 1) & (rows[1:] == rows[:-1]) & (rows[:-1] < lo)
+        yy = ptr[2::2] - ptr[:-2:2] - 2 * np.bincount(lo[both] // 2, minlength=g.n // 2)
+        e = 1 - np.bincount(rows[(rows % 2 == 0) & (cols == rows + 1)] // 2, minlength=g.n // 2)
+        flat = array("q", cols[keep].tobytes())
+        del rows, cols, keep, lo, both
+        ptr = array("q", ptr.tobytes())
+        bounds = zip(islice(ptr, 0, None, 2), islice(ptr, 1, None, 2), islice(ptr, 2, None, 2))
+        for length, yy_m, e_m, (a, b, c) in zip(count(0, 2), yy.tolist(), e.tolist(), bounds):
             self.reveal_to(length + 2)
-            yield c0[a0:b0], c1[a1:b1], c2[a2:b2], e_m
+            yield flat[a:b], flat[b:c], yy_m, e_m
 
 
 def matvec(g: Graph | CsrGraph, v) -> np.ndarray:
@@ -326,7 +331,7 @@ def _pair_block(vals: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_lists(g: CsrGraph):
-    """Pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, e)``.
+    """``pair_blocks``' pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, e)``.
 
     Pair m is nodes (2m, 2m + 1).  ``cols[ptr[m]:ptr[m + 1]]`` is the sorted
     union of their neighbours in [0, 2m), ``vals[:, ptr[m]:ptr[m + 1]]`` the
@@ -336,8 +341,7 @@ def _pair_lists(g: CsrGraph):
     pairs, n = g.n // 2, g.n
     rows, cols = g._rows(np.arange(n)), g.indices
     pair, side = np.divmod(rows, 2)
-    e = np.ones(pairs)
-    e[pair[(side == 0) & (cols == rows + 1)]] = 0.0
+    e = 1.0 - np.bincount(pair[(side == 0) & (cols == rows + 1)], minlength=pairs)
     # Earlier columns only; an odd trailing node has pair == pairs and joins no pair.
     before = (cols < 2 * pair) & (pair < pairs)
     keys = (pair[before] * n + cols[before]) * 2 + side[before]
@@ -347,8 +351,7 @@ def _pair_lists(g: CsrGraph):
     vals = np.zeros((2, int(first.sum())), dtype=np.uint8)
     vals[keys & 1, np.cumsum(first) - 1] = 1
     pair_of, cols = np.divmod(pair_col[first], n)
-    ptr = np.zeros(pairs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_of, minlength=pairs), out=ptr[1:])
+    ptr = np.searchsorted(pair_of, np.arange(pairs + 1))
     return ptr, cols, vals, e
 
 

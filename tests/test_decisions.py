@@ -7,7 +7,8 @@ that section.  Citations may wrap across lines of a comment or docstring.
 
 The ledger in turn cites tests by node id, ``tests/test_x.py::TestClass::test_name``
 (``bench/`` for the benchmark's tests, and a bare ``test_x.py`` for ``tests/``);
-each must name an existing file, class and function.
+each must name an existing file, class and function, and every ``## Dn.``
+section must cite at least one.
 """
 import ast
 import re
@@ -23,13 +24,23 @@ def _unwrapped(text):
     return re.sub(r"\s*\n\s*(?:#+\s*)?", " ", text)
 
 
+def _section_bodies(text):
+    """``(number, body)`` for each ``## Dn.`` section of the ledger's text."""
+    parts = re.split(r"^## (D\d+)\.", text, flags=re.MULTILINE)
+    return zip(parts[1::2], parts[2::2])
+
+
 def ledger_sections(text):
     """Section number -> the subsection titles inside it, from the ledger's text."""
-    parts = re.split(r"^## (D\d+)\.", text, flags=re.MULTILINE)
     return {
         number: set(re.findall(r"\*\*([^*]+?)\.\*\*", _unwrapped(body)))
-        for number, body in zip(parts[1::2], parts[2::2])
+        for number, body in _section_bodies(text)
     }
+
+
+def sections_without_tests(text):
+    """The numbers of the ledger's sections that cite no test node id."""
+    return [number for number, body in _section_bodies(text) if not NODE_ID.search(body)]
 
 
 def citations(text):
@@ -103,6 +114,19 @@ def test_node_id_check_finds_a_renamed_test():
     assert missing_test_nodes(renamed) == ["tests/test_decisions.py::test_ledger_has_numbered_sections_and_titles"]
     assert missing_test_nodes("`bench/test_nothing.py::test_x` `test_decisions.py::Absent::test_x`") == [
         "bench/test_nothing.py::test_x", "test_decisions.py::Absent::test_x"]
+
+
+def test_section_check_finds_a_section_without_tests():
+    cited = "`tests/test_decisions.py::test_every_section_cites_a_test`"
+    ledger = f"# Ledger\n\n## D1. Cited\n\nPinned by {cited}.\n\n## D2. Uncited\n\nNo test.\n\n## D3. Also\n\n{cited}\n"
+    assert sections_without_tests(ledger) == ["D2"]
+    assert sections_without_tests(ledger.replace("No test.", f"Pinned by {cited}.")) == []
+
+
+def test_every_section_cites_a_test():
+    text = (ROOT / "DECISIONS.md").read_text(encoding="utf-8")
+    assert len(ledger_sections(text)) >= 6  # the scan reads the ledger's sections
+    assert not sections_without_tests(text)
 
 
 def test_every_cited_test_node_exists():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import netrand.design as design
 import netrand.graph as graph
@@ -559,10 +559,16 @@ def upper_edges(g):
     return np.nonzero(np.triu(g.matrix, 1))
 
 
+def ladder(n):
+    """Neighbour lists joining i to i + 1 and i + 2: pair m is joined and shares column 2m - 1."""
+    nodes = np.arange(n)
+    return csr_from_edges(n, np.concatenate([nodes[:-1], nodes[:-2]]), np.concatenate([nodes[1:], nodes[2:]]))
+
+
 @st.composite
 def edge_lists(draw):
     """Binary graphs from 2 to 2000 nodes as neighbour lists: ER, SBM, heavy-tailed, complete,
-    a hub and joined pairs.
+    a hub, joined pairs and a ladder.
 
     Sparse draws leave isolated nodes; the complete graph ties at every pair.
     The hub is joined to most nodes, so many pairs share it or have it on one
@@ -570,7 +576,7 @@ def edge_lists(draw):
     sparse ER edges.
     """
     n = draw(st.one_of(st.integers(2, 60), st.integers(61, 2000)))
-    kind = draw(st.sampled_from(["er", "sbm", "heavy", "complete", "hub", "joined"]))
+    kind = draw(st.sampled_from(["er", "sbm", "heavy", "complete", "hub", "joined", "ladder"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "complete":
         n = min(n, 300)
@@ -585,6 +591,8 @@ def edge_lists(draw):
         u, v = upper_edges(gen_er(ErParams(n, min(3.0 / n, 0.9)), seed))
         firsts = np.arange(0, n - 1, 2)
         return csr_from_edges(n, np.concatenate([u, firsts]), np.concatenate([v, firsts + 1]))
+    if kind == "ladder":
+        return ladder(n)
     if kind == "er":
         mean_degree = draw(st.sampled_from([0.5, 3.0, 20.0]))
         p = min(mean_degree / n, 0.9)
@@ -601,6 +609,7 @@ def edge_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(edge_lists(), st.sampled_from([(ADAPTIVE, 0.85), (ADAPTIVE, 0.5), (ADAPTIVE, 1.0), (RANDOM, 0.85)]),
        st.integers(0, 100_000))
+@example(ladder(1001), (ADAPTIVE, 0.85), 3)
 def test_neighbour_lists_match_dense_under_one_stream(g, policy_b, seed):
     """Same tau, trajectory and final I^2 on both storages, draw for draw.
 

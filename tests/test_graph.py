@@ -732,8 +732,9 @@ class TestRevealedView:
                 if read == "pair_blocks":
                     rows[:, pair[0]] = pair[1][:2]
                 else:
-                    first, second, both = map(list, pair[:3])
-                    rows[0, first + both] = rows[1, second + both] = 1
+                    rows[0, list(pair[0])] = rows[1, list(pair[1])] = 1
+                    # y . y: the prefix columns where the two rows differ
+                    assert pair[2] == np.count_nonzero(rows[0] != rows[1])
             assert np.array_equal(rows, g.matrix[2 * m:2 * m + 2, :2 * m])
             assert pair[-1] == 1 - g.matrix[2 * m, 2 * m + 1]
         assert m == 4 and view._revealed == 10

@@ -83,11 +83,13 @@ def _record_cells(columns, records) -> list[list[str]]:
     return [[_fmt(getattr(rec, c.lower())) for rec in records] for c in columns]
 
 
-def _summary_path(out: str) -> str:
-    p = Path(out)
-    if p.suffix == ".csv":
-        return str(p.with_suffix("")) + ".summary.csv"
-    return out + ".summary.csv"
+def _summary_path(args) -> str:
+    """``--summary-out``, else ``--out`` with ``.summary`` before its ``.csv``; an empty ``--out`` is refused."""
+    if not args.out:
+        raise ParameterError("--out must name a file")
+    p = Path(args.out)
+    stem = str(p.with_suffix("")) if p.suffix == ".csv" else args.out
+    return args.summary_out or stem + ".summary.csv"
 
 
 def _file_id(path):
@@ -145,7 +147,7 @@ def _expand(ranges, check_size) -> tuple[int, ...]:
 
 
 def cmd_simulate(args) -> int:
-    summary_out = args.summary_out or _summary_path(args.out)
+    summary_out = _summary_path(args)
     _check_outputs(None, args.out, summary_out)
     policies = {
         "adaptive": (ADAPTIVE,),
@@ -180,7 +182,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_real(args) -> int:
     """Fresh induced sample and arrival order per replicate, both policies."""
-    summary_out = args.summary_out or _summary_path(args.out)
+    summary_out = _summary_path(args)
     _check_outputs(args.edges, args.out, summary_out)
     ranges = _parse_ranges(args.sample or ["10000"])
     # Checked before the list is read on each range's first two sizes, which hold the range's
@@ -218,7 +220,7 @@ def cmd_assign(args) -> int:
     cfg = DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss)
     g = graphmod.from_edge_list(args.edges)
     graphmod.check_exact_bound(g.degrees, g.n)
-    if args.order == "random":
+    if args.order == "random" and g.n > 1:  # one node is left for run_design to reject
         g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
     res = run_design(g, cfg)
     # Each pair's I is formatted once; an odd trailing subject repeats the last pair's.

@@ -250,8 +250,8 @@ class RevealedView:
         ``y = rows[1] - rows[0]`` and ``rows`` a 3 x |cols| float64 block: the
         two rows' entries at ``cols``, then ``-e * y``.  So ``rows @ tau[cols]``
         gives z0, z1 and e (z0 - z1) in one product.  On a dense ``Graph`` the
-        block is built per pair from ``pair_rows``; on a ``CsrGraph`` the
-        tuples are slices of float64 tables built once per call.
+        block is built per pair from ``pair_rows``; on a ``CsrGraph`` the tuples
+        are slices of float64 tables built once per call from ``pair_sides``' table.
         """
         g = self.graph
         if isinstance(g, Graph):
@@ -259,7 +259,19 @@ class RevealedView:
                 cols = np.flatnonzero(np.logical_or(rows[0], rows[1]))
                 yield cols, *_pair_block(rows[:, cols], e), e
             return
-        ptr, cols, vals, e = _pair_lists(g)
+        _, flat, ptr, e = _prefix_table(g)
+        # One sort of pair-major (column, side) keys merges each pair's two sorted prefix rows.
+        ptr = ptr[:g.n + 1 - g.n % 2]  # an odd trailing subject joins no pair
+        i = np.arange(ptr.shape[0] - 1)
+        keys = np.repeat((i - i % 2) * g.n + i % 2, np.diff(ptr)) + 2 * flat[:ptr[-1]]
+        keys.sort()
+        first = np.diff(keys >> 1, prepend=-1) != 0
+        seen = np.cumsum(first)
+        vals = np.zeros((2, np.count_nonzero(first)), dtype=np.uint8)
+        vals[keys & 1, seen - 1] = 1
+        # A pair's keys stay in its rows' span, so its union starts after the columns before it.
+        cols, ptr = (keys[first] >> 1) % g.n, np.concatenate([[0], seen])[ptr[::2]]
+        e = e.astype(np.float64)
         blocks, ys = _pair_block(vals, np.repeat(e, np.diff(ptr)))
         ptr = ptr.tolist()
         for length, lo, hi, e_m in zip(count(0, 2), ptr, islice(ptr, 1, None), e.tolist()):
@@ -276,16 +288,13 @@ class RevealedView:
         g = self.graph
         if not isinstance(g, CsrGraph):
             raise ContractError("pair_sides reads neighbour lists; read a dense Graph by pair_rows")
-        rows, cols = g._rows(np.arange(g.n)), g.indices
-        keep = cols < rows - rows % 2
-        ptr = np.concatenate([[0], np.cumsum(keep)])[g.indptr]
+        rows, flat, ptr, e = _prefix_table(g)
         # Column j < 2m joins both of pair m exactly when j's sorted row holds 2m and 2m + 1 side by side.
-        lo = cols[:-1]
-        both = (lo % 2 == 0) & (cols[1:] == lo + 1) & (rows[1:] == rows[:-1]) & (rows[:-1] < lo)
+        lo, hi = g.indices[:-1], g.indices[1:]
+        both = (lo % 2 == 0) & (hi == lo + 1) & (rows[1:] == rows[:-1]) & (rows[:-1] < lo)
         yy = ptr[2::2] - ptr[:-2:2] - 2 * np.bincount(lo[both] // 2, minlength=g.n // 2)
-        e = 1 - np.bincount(rows[(rows % 2 == 0) & (cols == rows + 1)] // 2, minlength=g.n // 2)
-        flat = array("q", cols[keep].tobytes())
-        del rows, cols, keep, lo, both
+        flat = array("q", flat.tobytes())
+        del rows, lo, hi, both
         ptr = array("q", ptr.tobytes())
         bounds = zip(islice(ptr, 0, None, 2), islice(ptr, 1, None, 2), islice(ptr, 2, None, 2))
         for length, yy_m, e_m, (a, b, c) in zip(count(0, 2), yy.tolist(), e.tolist(), bounds):
@@ -330,29 +339,17 @@ def _pair_block(vals: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
     return block, y
 
 
-def _pair_lists(g: CsrGraph):
-    """``pair_blocks``' pair-major neighbour lists of ``g`` in node order: ``(ptr, cols, vals, e)``.
+def _prefix_table(g: CsrGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each subject's links to the subjects before its pair, from one O(|E|) pass: ``(rows, flat, ptr, e)``.
 
-    Pair m is nodes (2m, 2m + 1).  ``cols[ptr[m]:ptr[m + 1]]`` is the sorted
-    union of their neighbours in [0, 2m), ``vals[:, ptr[m]:ptr[m + 1]]`` the
-    two nodes' 0/1 entries there and ``e[m]`` the unit self-weight minus the
-    entry joining them.  One sort of (pair, column, side) keys: O(|E| log |E|).
+    ``rows`` is the row of every stored entry.  ``flat[ptr[i]:ptr[i + 1]]`` is subject i's sorted
+    row below 2m, m its pair, and ``e[m]`` is 1 minus the entry joining pair m, as an int.
     """
-    pairs, n = g.n // 2, g.n
-    rows, cols = g._rows(np.arange(n)), g.indices
-    pair, side = np.divmod(rows, 2)
-    e = 1.0 - np.bincount(pair[(side == 0) & (cols == rows + 1)], minlength=pairs)
-    # Earlier columns only; an odd trailing node has pair == pairs and joins no pair.
-    before = (cols < 2 * pair) & (pair < pairs)
-    keys = (pair[before] * n + cols[before]) * 2 + side[before]
-    keys.sort()
-    pair_col = keys >> 1
-    first = np.diff(pair_col, prepend=-1) != 0
-    vals = np.zeros((2, int(first.sum())), dtype=np.uint8)
-    vals[keys & 1, np.cumsum(first) - 1] = 1
-    pair_of, cols = np.divmod(pair_col[first], n)
-    ptr = np.searchsorted(pair_of, np.arange(pairs + 1))
-    return ptr, cols, vals, e
+    rows, cols = g._rows(np.arange(g.n)), g.indices
+    keep = cols < rows - rows % 2
+    ptr = np.concatenate([[0], np.cumsum(keep)])[g.indptr]
+    e = 1 - np.bincount(rows[(rows % 2 == 0) & (cols == rows + 1)] // 2, minlength=g.n // 2)
+    return rows, cols[keep], ptr, e
 
 
 @dataclass(frozen=True)

@@ -345,12 +345,22 @@ class TestReal:
         assert sorted({int(r["n"]) for r in read_csv(out)}) == [20, 40]
         assert len(read_csv(tmp_path / "sweep.summary.csv")) == 2
 
-    def test_oversized_sample_exit_2(self, tmp_path):
+    def test_oversized_sample_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "net.txt"
         write_er_fixture(edges, n=20)
         rc = main(["real", "--edges", str(edges), "--sample", "500",
                    "--reps", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        # a one-node list is too small for a sample, and for a cohort in either order
+        one = tmp_path / "one.txt"
+        one.write_text("a a\n")
+        rc = main(["real", "--edges", str(one), "--sample", "2", "--reps", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        capsys.readouterr()
+        for order in ("file", "random"):
+            assert main(["assign", "--edges", str(one), "--order", order]) == 2
+            assert capsys.readouterr().err == "error: design needs at least 2 subjects\n"
 
     def test_missing_file_exit_1(self, tmp_path):
         rc = main(["real", "--edges", str(tmp_path / "absent.txt"),
@@ -604,6 +614,23 @@ class TestRejectedBeforeWork:
         }[command]
         assert main(argv + ["--out", out, "--summary-out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [edges]
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-summary", "real"])
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, no_work, command):
+        # an empty --out would send the rows to stdout and the summary to a hidden .summary.csv
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\n")
+        monkeypatch.chdir(tmp_path)
+        argv = {
+            "simulate": ["simulate", "--model", "er", "--n", "20", "--p", "0.3"],
+            "simulate-summary": ["simulate", "--model", "er", "--n", "20", "--p", "0.3",
+                                 "--summary-out", str(tmp_path / "s.csv")],
+            "real": ["real", "--edges", str(edges), "--sample", "2"],
+        }[command]
+        assert main(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out must name a file\n" and captured.out == ""
         assert list(tmp_path.iterdir()) == [edges]
 
     @pytest.mark.parametrize("case", ["assign-out", "real-out", "real-summary-out", "assign-hard-link"])

@@ -708,6 +708,12 @@ class TestMatvec:
                 graph.matvec(g, v)
 
 
+def ladder_graph(n):
+    """Dense ladder: i joined to i + 1 and i + 2, so column 2m - 1 is in both rows of pair m."""
+    i = np.arange(n)
+    return Graph((np.abs(i[:, None] - i) <= 2).astype(np.uint8))
+
+
 class TestRevealedView:
     @pytest.mark.parametrize("storage", ["dense", "lists"])
     @pytest.mark.parametrize("read", ["pair_rows", "pair_sides", "pair_blocks"])
@@ -775,8 +781,11 @@ class TestRevealedView:
             # weighted, with zero off-diagonal entries where the ER mask has none
             Graph(gen_goe(GoeParams(41, 0.5), seed=5).matrix * gen_er(ErParams(41, 0.3), seed=6).matrix),
             identity_graph(9),
+            ladder_graph(12),
+            # odd n: the trailing subject 12, joined to 10 and 11, joins no pair
+            ladder_graph(13),
         ],
-        ids=["binary", "sparse", "weighted", "isolated"],
+        ids=["binary", "sparse", "weighted", "isolated", "ladder", "odd"],
     )
     def test_pair_blocks_are_pair_neighbours_without_zero_columns(self, g):
         stores = [g] if g.weighted else [g, csr_of(g)]

@@ -215,13 +215,14 @@ def cmd_real(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    if args.out == "":  # only an omitted --out selects stdout
+        raise ParameterError("--out must name a file")
     _check_outputs(args.edges, args.out)
     order_ss, design_ss = np.random.SeedSequence(args.seed).spawn(2)
     cfg = DesignConfig(policy=ADAPTIVE, b=args.b, seed=design_ss)
-    g = graphmod.from_edge_list(args.edges)
+    # --order random reads the list straight into the sample order of a whole-list sample.
+    g = graphmod.from_edge_list(args.edges, order_ss if args.order == "random" else None)
     graphmod.check_exact_bound(g.degrees, g.n)
-    if args.order == "random" and g.n > 1:  # one node is left for run_design to reject
-        g = graphmod.induced_subgraph_sample(g, g.n, order_ss)
     res = run_design(g, cfg)
     # Each pair's I is formatted once; an odd trailing subject repeats the last pair's.
     i_cells = [repr(i) for i in np.sqrt(res.i2_trajectory.astype(np.float64)).tolist()]

@@ -128,7 +128,8 @@ class CsrGraph:
 
     indptr: np.ndarray
     indices: np.ndarray
-    labels: tuple[str, ...] | None = None
+    # The nodes' ids: a decimal parse's int64 values, the line loop's tokens, or None.
+    node_ids: np.ndarray | tuple[str, ...] | None = None
 
     def __post_init__(self):
         indptr, indices = self.indptr, self.indices
@@ -151,10 +152,12 @@ class CsrGraph:
         transposed.sort()
         if not np.array_equal(keys, transposed):
             raise ParameterError("adjacency must be symmetric")
-        if self.labels is not None and len(self.labels) != n:
+        if self.node_ids is not None and len(self.node_ids) != n:
             raise ParameterError("labels length must match node count")
         indptr.setflags(write=False)
         indices.setflags(write=False)
+        if isinstance(self.node_ids, np.ndarray):
+            self.node_ids.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -163,6 +166,13 @@ class CsrGraph:
     @property
     def weighted(self) -> bool:
         return False
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """The node ids as text, in node order; decimal ids are formatted anew on each read."""
+        if isinstance(self.node_ids, np.ndarray):
+            return tuple(map(str, self.node_ids.tolist()))
+        return self.node_ids
 
     @property
     def degrees(self) -> np.ndarray:
@@ -471,14 +481,16 @@ def _decoded_lines(data: bytes) -> Iterator[str]:
             raise EdgeListParseError(f"edge list is not UTF-8 text ({exc.reason})") from None
 
 
-def from_edge_list(source) -> CsrGraph:
+def from_edge_list(source, order_seed=None) -> CsrGraph:
     """Parse SNAP-style edge-list text into a binary graph of neighbour lists.
 
     Lines starting with '#' are comments and blank lines are skipped.  Data
     lines hold two whitespace-separated node identifiers (arbitrary tokens),
     remapped to 0..n-1 in first-appearance order.  Duplicate edges collapse;
     input self-loops are ignored because the self-weight is implied.  Any
-    number of nodes is accepted: nothing dense is built here.
+    number of nodes is accepted: nothing dense is built here.  With
+    ``order_seed`` the nodes come in the order ``induced_subgraph_sample(g,
+    g.n, order_seed)`` would give them, from the one build.
 
     A path whose data lines all hold two canonical decimal ids, SNAP's form,
     is parsed by numpy (``_decimal_edges``) unless an id is too large for
@@ -493,7 +505,7 @@ def from_edge_list(source) -> CsrGraph:
         parsed = _decimal_edges(data)
         if parsed is not None:
             del data
-            return _from_ends(*parsed)
+            return _from_ends(*parsed, order_seed)
         lines = _decoded_lines(data)
         del data  # from here the bytes live only as long as the loop reads them
     index: dict[str, int] = {}
@@ -510,16 +522,33 @@ def from_edge_list(source) -> CsrGraph:
         ends.append(index.setdefault(tokens[1], len(index)))
     if not index:
         raise EdgeListParseError("edge list contains no data lines")
-    return _from_ends(np.frombuffer(ends, dtype=np.int64), tuple(index))
+    return _from_ends(np.frombuffer(ends, dtype=np.int64), tuple(index), order_seed)
 
 
-def _from_ends(ends: np.ndarray, labels: tuple[str, ...]) -> CsrGraph:
-    """Neighbour lists from the node indices of each edge, flattened in line order."""
-    n = len(labels)
+def _from_ends(ends: np.ndarray, ids, order_seed) -> CsrGraph:
+    """Neighbour lists from the node indices of each edge, flattened in line order.
+
+    With ``order_seed``, ``default_rng(order_seed).permutation(n)[i]`` becomes node i,
+    as in ``induced_subgraph_sample``; ``ends`` is renumbered in place.
+    """
+    n = len(ids)
+    if order_seed is not None:
+        idx = np.random.default_rng(order_seed).permutation(n)
+        pos = np.empty(n, dtype=np.int64)
+        pos[idx] = np.arange(n)
+        np.take(pos, ends, out=ends)
+        ids = _take_ids(ids, idx)
     u, v = ends.reshape(-1, 2).T
     keep = u != v
     u, v = u[keep], v[keep]
-    return _from_keys(np.concatenate([u * n + v, v * n + u]), n, labels)
+    return _from_keys(np.concatenate([u * n + v, v * n + u]), n, ids)
+
+
+def _take_ids(ids, idx: np.ndarray):
+    """The node ids ``ids`` of the nodes ``idx``, in the same form: array, tuple or None."""
+    if isinstance(ids, tuple):
+        return tuple(map(ids.__getitem__, idx.tolist()))
+    return None if ids is None else ids[idx]
 
 
 # Bytes of edge-list body parsed per block.  A block's byte-level temporaries take about
@@ -530,8 +559,8 @@ _DIGIT_0, _TAB, _LF, _CR, _SPACE = ord("0"), ord("\t"), ord("\n"), ord("\r"), or
 _MAX_ID_DIGITS = 18
 
 
-def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
-    """``from_edge_list``'s ends and labels for a file of canonical decimal ids, else None.
+def _decimal_edges(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """``from_edge_list``'s ends and int64 node ids for a file of canonical decimal ids, else None.
 
     ``data`` is the file's bytes.  After the leading blank and comment lines,
     judged as the line loop judges them, every byte must be a digit, space,
@@ -588,13 +617,13 @@ def _decimal_edges(data: bytes) -> tuple[np.ndarray, tuple[str, ...]] | None:
     first = order[head]
     first_seen = np.zeros(size, dtype=bool)
     first_seen[first] = True
-    labels = tuple(map(str, values[first_seen].tolist()))
+    ids = values[first_seen]
     # A value's id is the number of first appearances before its own.
     rank = np.cumsum(first_seen)
     rank -= 1
     ends = values  # overwritten in place: every value is read by now
     ends[order] = np.repeat(rank[first], np.diff(head, append=size))
-    return ends, labels
+    return ends, ids
 
 
 def _decimal_pairs(block: bytes) -> np.ndarray | None:
@@ -622,14 +651,14 @@ def _decimal_pairs(block: bytes) -> np.ndarray | None:
     return values if values.size == starts.size else None
 
 
-def _from_keys(keys: np.ndarray, n: int, labels) -> CsrGraph:
+def _from_keys(keys: np.ndarray, n: int, ids) -> CsrGraph:
     """Neighbour lists from ``row * n + column`` keys of both orientations; repeats collapse."""
     # A sort and a mask, not np.unique: 0.14 s against 9 s for 6M keys on numpy 2.4.
     keys.sort()
     rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrGraph(indptr, indices, labels=labels)
+    return CsrGraph(indptr, indices, ids)
 
 
 def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:
@@ -642,15 +671,12 @@ def induced_subgraph_sample(g: CsrGraph, k: int, seed) -> CsrGraph:
     if not 2 <= k <= g.n:
         raise ParameterError(f"sample size {k} outside [2, {g.n}]")
     idx = np.random.default_rng(seed).permutation(g.n)[:k]
-    labels = None
-    if g.labels is not None:
-        labels = tuple(map(g.labels.__getitem__, idx.tolist()))
     # pos[v] is v's place in the sample, or -1; stored entries come in both orientations.
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)
     src, dst = g._rows(pos), pos[g.indices]
     both = (src >= 0) & (dst >= 0)
-    return _from_keys(src[both] * k + dst[both], k, labels)
+    return _from_keys(src[both] * k + dst[both], k, _take_ids(g.node_ids, idx))
 
 
 def density(g: Graph | CsrGraph) -> float:

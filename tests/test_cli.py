@@ -616,9 +616,10 @@ class TestRejectedBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [edges]
 
-    @pytest.mark.parametrize("command", ["simulate", "simulate-summary", "real"])
+    @pytest.mark.parametrize("command", ["simulate", "simulate-summary", "real", "assign"])
     def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, no_work, command):
-        # an empty --out would send the rows to stdout and the summary to a hidden .summary.csv
+        # an empty --out would send the rows to stdout and the summary to a hidden .summary.csv;
+        # only an omitted --out sends assign's rows to stdout
         edges = tmp_path / "net.txt"
         edges.write_text("a b\n")
         monkeypatch.chdir(tmp_path)
@@ -627,6 +628,7 @@ class TestRejectedBeforeWork:
             "simulate-summary": ["simulate", "--model", "er", "--n", "20", "--p", "0.3",
                                  "--summary-out", str(tmp_path / "s.csv")],
             "real": ["real", "--edges", str(edges), "--sample", "2"],
+            "assign": ["assign", "--edges", str(edges)],
         }[command]
         assert main(argv + ["--out", ""]) == 2
         captured = capsys.readouterr()

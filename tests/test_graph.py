@@ -39,7 +39,7 @@ def csr_of(g, labels=None):
     rows, cols = np.nonzero(off)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    return CsrGraph(indptr, cols.astype(np.int64), labels=labels)
+    return CsrGraph(indptr, cols.astype(np.int64), node_ids=labels)
 
 
 def sample_reference(g, labels, k, seed):
@@ -262,7 +262,7 @@ class TestCsrGraph:
     PATH = ([0, 1, 3, 4], [1, 0, 2, 1])
 
     def test_valid_path(self):
-        g = CsrGraph(np.array(self.PATH[0]), np.array(self.PATH[1]), labels=("a", "b", "c"))
+        g = CsrGraph(np.array(self.PATH[0]), np.array(self.PATH[1]), node_ids=("a", "b", "c"))
         assert g.n == 3 and not g.weighted
         assert np.array_equal(g.to_dense().matrix, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
@@ -287,7 +287,7 @@ class TestCsrGraph:
     def test_labels_length_and_dtype_rejected(self):
         indptr, indices = (np.array(a, dtype=np.int64) for a in self.PATH)
         with pytest.raises(ParameterError, match="labels"):
-            CsrGraph(indptr, indices, labels=("a", "b"))
+            CsrGraph(indptr, indices, node_ids=("a", "b"))
         with pytest.raises(ParameterError, match="int64"):
             CsrGraph(indptr, indices.astype(np.int32))
 
@@ -411,14 +411,23 @@ class TestEdgeListAgainstDenseFill:
             assert got.matrix.tobytes() == ref.tobytes() and got.labels == labels
 
 
-def loop_parse(path):
+def loop_parse(path, order_seed=None):
     """The line loop's result: the file read as an iterable of lines."""
     with open(path, encoding="utf-8-sig") as fh:
-        return from_edge_list(fh)
+        return from_edge_list(fh, order_seed)
+
+
+def assert_same_graph(got, want):
+    assert got.labels == want.labels
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
 
 
 def assert_parses_as_loop(path):
-    """``from_edge_list(path)`` gives the loop's graph, or raises the loop's error."""
+    """``from_edge_list(path)`` gives the loop's graph, or raises the loop's error.
+
+    Samples of the two parses are equal too, and with an order seed both parses
+    give the whole-list sample of that seed.
+    """
     try:
         want = loop_parse(path)
     except UnicodeDecodeError as exc:
@@ -432,8 +441,14 @@ def assert_parses_as_loop(path):
         assert str(err.value) == str(exc) and err.value.line_number == exc.line_number
         return
     got = from_edge_list(path)
-    assert got.labels == want.labels
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert_same_graph(got, want)
+    seed = 0  # its orders of 3 and 5 nodes are not their own inverses
+    whole = got  # a one-node list has one order
+    for k in sorted({2, got.n}) if got.n > 1 else ():
+        whole = induced_subgraph_sample(got, k, seed)
+        assert_same_graph(whole, induced_subgraph_sample(want, k, seed))
+    assert_same_graph(from_edge_list(path, seed), whole)
+    assert_same_graph(loop_parse(path, seed), whole)
 
 
 # Canonical decimal ids, as SNAP writes them, and ids the canonical rule excludes: a leading
@@ -487,6 +502,9 @@ class TestDecimalIdsAgainstLineLoop:
         pytest.param(b"9223372036854775808 1\n", id="beyond-int64"),
         pytest.param(b"# \xff\n1 2\n", id="not-utf8-header"),
         pytest.param(b"1 2\n# c\n2 3\n", id="comment-in-body"),
+        pytest.param(b"50 9\n9 7\n7 50\n1 9\n3 3\n", id="decimal-ids-odd-n"),
+        pytest.param(b"999999999999999999 1\n1 2\n2 3\n3 4\n", id="ids-past-key-bits"),
+        pytest.param(b"7 7\n", id="one-node"),
     ])
     def test_cases_equal_line_loop(self, tmp_path, data):
         path = tmp_path / "edges.txt"
@@ -559,10 +577,10 @@ class TestDecimalIdsAgainstLineLoop:
             assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
             return
         assert max(used) < 1 << (63 - tokens.bit_length())  # the key sort's condition
-        with mock.patch.object(graph, "_from_ends", lambda ends, labels: (ends.copy(), labels)):
+        with mock.patch.object(graph, "_from_ends", lambda ends, ids, order_seed: (ends.copy(), ids)):
             want_ends, want_labels = from_edge_list(lines)
         assert got is not None
-        assert got[1] == want_labels
+        assert got[1].dtype == np.int64 and tuple(map(str, got[1].tolist())) == want_labels
         assert got[0].dtype == np.int64 and np.array_equal(got[0], want_ends)
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")

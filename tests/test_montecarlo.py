@@ -9,6 +9,7 @@ import pytest
 from netrand import (
     ADAPTIVE,
     RANDOM,
+    DesignConfig,
     ErParams,
     ExperimentSpec,
     OutcomeParams,
@@ -19,6 +20,7 @@ from netrand import (
     goe_fourth_moment_bound,
     random_design_expected_i2,
     reduction_report,
+    run_design_many,
     run_experiment,
     sparse_edge_probability,
     summarize,
@@ -361,6 +363,15 @@ class TestReductionReport:
         assert rep.adaptive_mean_i < rep.random_mean_i
         assert 0.0 < rep.reduction < 1.0
         assert rep.reduction == pytest.approx(1 - rep.adaptive_mean_i / rep.random_mean_i)
+        # each arm's mean and standard error, from the final I of the same spawned stream
+        a_ss, r_ss = np.random.SeedSequence(1).spawn(2)
+        arms = [(ADAPTIVE, a_ss, rep.adaptive_mean_i, rep.adaptive_se),
+                (RANDOM, r_ss, rep.random_mean_i, rep.random_se)]
+        for policy, ss, mean, se in arms:
+            finals = run_design_many(g, DesignConfig(policy, b=0.95), 60, rng=np.random.default_rng(ss))
+            i = np.sqrt(finals.astype(np.float64))
+            assert mean == pytest.approx(i.mean(), rel=1e-12)
+            assert se == pytest.approx(i.std(ddof=1) / math.sqrt(60), rel=1e-12)
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_too_few_reps_rejected(self, reps):
